@@ -23,6 +23,7 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
     "psd_verdict",
+    "symmetric_linspace",
 ]
 
 # Identity plus the three Pauli matrices, indexed 0..3.
@@ -215,3 +216,18 @@ def psd_verdict(eigs: np.ndarray) -> str:
     if lo < -PSD_REFUTE_TOL:
         return "not_psd"
     return "marginal"
+
+
+def symmetric_linspace(lo: float, hi: float, steps: int) -> np.ndarray:
+    """Evenly spaced grid whose floats are exactly symmetric about the center.
+
+    ``np.linspace`` accumulates rounding asymmetrically, which makes exact
+    boundary slacks (for example at ``l_j^2 = l_k^2``) flip sign between
+    mirror grid points; integer-times-step construction keeps mirror points
+    bitwise negatives of each other.
+    """
+    if steps < 2:
+        raise ValueError("a grid needs at least two steps")
+    mid = (lo + hi) / 2.0
+    offsets = np.arange(steps) - (steps - 1) / 2.0
+    return offsets * ((hi - lo) / (steps - 1)) + mid

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    PSD_CONFIRM_TOL,
     SIGMA,
     HermitianOperator,
     hermitian_spectrum,
@@ -57,6 +58,10 @@ H4 = np.array(
 )
 
 _VEC_SIGMA = np.array([s.reshape(-1) for s in SIGMA])  # (4, 4) rows vec(sigma_i)
+# Per-qubit change of basis from the row-major vec of a 2x2 block to its Pauli
+# coefficients x_i = tr(sigma_i X), and back (X = sum_i x_i sigma_i / 2).
+_TO_PAULI = _VEC_SIGMA.conj()
+_FROM_PAULI = _VEC_SIGMA.T / 2.0
 
 
 def lambda_to_q(lam: Sequence[float]) -> np.ndarray:
@@ -132,12 +137,7 @@ class PauliMap:
 
     def apply(self, x) -> np.ndarray:
         """Action in the lambda form, ``(1/2) sum_j l_j tr(sigma_j X) sigma_j``."""
-        x = _check_2x2(x)
-        coeffs = np.array([np.trace(s @ x) for s in SIGMA])
-        out = np.zeros((2, 2), dtype=np.complex128)
-        for lj, cj, s in zip(self.lam, coeffs, SIGMA):
-            out += 0.5 * lj * cj * s
-        return out
+        return _pauli_product(self.lam, _check_2x2(x), diagonal=True)
 
     def apply_conjugation(self, x) -> np.ndarray:
         """Action in the conjugation form, ``sum_j q_j sigma_j X sigma_j``."""
@@ -191,13 +191,7 @@ class GeneralQubitMap:
         return np.diag(self.matrix)[1:].copy()
 
     def apply(self, x) -> np.ndarray:
-        x = _check_2x2(x)
-        coeffs = np.array([np.trace(s @ x) for s in SIGMA])
-        out_coeffs = self.matrix @ coeffs
-        out = np.zeros((2, 2), dtype=np.complex128)
-        for c, s in zip(out_coeffs, SIGMA):
-            out += 0.5 * c * s
-        return out
+        return _pauli_product([self.matrix], _check_2x2(x))
 
     def adjoint(self) -> "GeneralQubitMap":
         return GeneralQubitMap(self.matrix.T)
@@ -215,12 +209,13 @@ class GeneralQubitMap:
 
 def _superop_from_matrix(e: np.ndarray) -> np.ndarray:
     """4x4 superoperator on row-major ``vec(X)`` for a Pauli-basis matrix."""
-    return 0.5 * (_VEC_SIGMA.T @ e @ _VEC_SIGMA.conj())
+    return _FROM_PAULI @ e @ _TO_PAULI
 
 
-def _action_tensor(m) -> np.ndarray:
-    """Superoperator reshaped to ``T[a, b, a', b'] = Phi[E_{a'b'}][a, b]``."""
-    return m.superop().reshape(2, 2, 2, 2)
+def _realign(s: np.ndarray, d: int) -> np.ndarray:
+    """Row-major superoperator ``S[(a, b), (a', b')]`` <-> ``sum Phi[E_a'b'] (x) E_a'b'``
+    (``d`` times the Choi operator); the swap is its own inverse."""
+    return s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def compose(f, g):
@@ -251,17 +246,8 @@ def choi(maps) -> HermitianOperator:
         maps = [maps]
     if not maps:
         raise ValueError("choi requires at least one map")
-    singles = []
-    for m in maps:
-        t = _action_tensor(m)
-        omega = np.zeros((4, 4), dtype=np.complex128)
-        # (Phi x Id)[psi+ proj] = (1/2) sum_ab Phi[E_ab] (x) E_ab
-        for a in range(2):
-            for b in range(2):
-                eab = np.zeros((2, 2))
-                eab[a, b] = 1.0
-                omega += 0.5 * np.kron(t[:, :, a, b], eab)
-        singles.append(HermitianOperator(omega, (2, 2)))
+    # (Phi x Id)[psi+ proj] = (1/2) sum_ab Phi[E_ab] (x) E_ab
+    singles = [HermitianOperator(0.5 * _realign(m.superop(), 2), (2, 2)) for m in maps]
     out = singles[0]
     for s in singles[1:]:
         out = kron(out, s)
@@ -271,35 +257,69 @@ def choi(maps) -> HermitianOperator:
 def map_from_choi(omega: HermitianOperator) -> GeneralQubitMap:
     """Reconstruct a qubit map from its 4x4 Choi operator.
 
-    Inverts the isomorphism via ``Phi[X] = 2 tr_2[Omega (I x X^T)]``.
+    Realigns ``Omega`` into the superoperator ``S = 2 * realign(Omega)`` and
+    reads off ``E = V* S V^T / 2`` with ``V`` the rows ``vec(sigma_i)``.
     """
     w = omega.matrix if isinstance(omega, HermitianOperator) else np.asarray(omega)
     if w.shape != (4, 4):
         raise ValueError("expected a 4x4 Choi operator")
-    e = np.zeros((4, 4))
-    for j, s in enumerate(SIGMA):
-        big = w @ np.kron(np.eye(2), s.T)
-        phi_sj = big.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3) * 2.0
-        for i, si in enumerate(SIGMA):
-            e[i, j] = np.trace(si @ phi_sj).real / 2.0
-    return GeneralQubitMap(e)
+    return GeneralQubitMap((_VEC_SIGMA.conj() @ _realign(w, 2) @ _VEC_SIGMA.T).real)
+
+
+def _rotate_in(m: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+    """Multiply the 4x4 matrices ``m`` into the first qubit axis of ``t``, shape
+    ``(..., 4**n)``, and move that axis last; ``n`` calls restore the order."""
+    t = np.swapaxes(t.reshape(t.shape[:-1] + (4, 4 ** (n - 1))), -1, -2) @ np.swapaxes(m, -1, -2)
+    return t.reshape(t.shape[:-2] + (4**n,))
+
+
+def _permute_tail(t: np.ndarray, order) -> np.ndarray:
+    """Permute the trailing ``len(order)`` axes of ``t``, keeping the leading ones."""
+    nl = t.ndim - len(order)
+    return t.transpose([*range(nl), *(nl + int(ax) for ax in order)])
+
+
+def _pauli_product(e, x, diagonal: bool = False) -> np.ndarray:
+    """Apply a map on ``n`` qubits, given in the product-Pauli basis, to ``x``.
+
+    ``x`` has shape ``(..., 2**n, 2**n)``.  ``e`` stacks the Pauli-basis
+    matrices of ``n`` qubit maps, shape ``(..., n, 4, 4)``, whose tensor
+    product is applied; with ``diagonal=True`` it is instead a coefficient
+    table of shape ``(..., 4, ..., 4)`` scaling each product-Pauli coefficient
+    (for a product of Pauli maps, the outer product of their lambdas).
+    Leading dimensions broadcast, so one call applies a whole stack of maps.
+    Three steps: one 4x4 change of basis per qubit takes ``x`` to Pauli
+    coefficients, the maps act on the coefficients, and the basis changes back.
+    """
+    e = np.asarray(e, dtype=float)
+    x = np.asarray(x, dtype=np.complex128)
+    n = x.shape[-1].bit_length() - 1
+    # Pair each qubit's row and column index: (a1..an, b1..bn) -> (a1, b1, ..., an, bn).
+    pairs = [ax for k in range(n) for ax in (k, n + k)]
+    t = _permute_tail(x.reshape(x.shape[:-2] + (2,) * (2 * n)), pairs).reshape(x.shape[:-2] + (4**n,))
+    for _ in range(n):
+        t = _rotate_in(_TO_PAULI, t, n)
+    if diagonal:
+        t = t * e.reshape(e.shape[: e.ndim - n] + (4**n,))
+    else:
+        for k in range(n):
+            t = _rotate_in(e[..., k, :, :], t, n)
+    for _ in range(n):
+        t = _rotate_in(_FROM_PAULI, t, n)
+    lead = t.shape[:-1]
+    return _permute_tail(t.reshape(lead + (2,) * (2 * n)), np.argsort(pairs)).reshape(lead + (2**n, 2**n))
 
 
 def tensor_apply(maps, x: HermitianOperator) -> HermitianOperator:
-    """Apply one qubit map per tensor factor of ``x``."""
+    """Apply one qubit map per tensor factor of ``x``, in the Pauli basis (:func:`_pauli_product`)."""
     if not isinstance(x, HermitianOperator):
         raise ValueError("tensor_apply expects a HermitianOperator input")
     if len(maps) != x.nfactors or any(d != 2 for d in x.dims):
         raise ValueError(
             f"need one qubit factor per map: {len(maps)} maps, dims {x.dims}"
         )
-    n = x.nfactors
-    t = x.matrix.reshape(x.dims + x.dims).astype(np.complex128)
-    for k, m in enumerate(maps):
-        tk = _action_tensor(m)
-        t = np.tensordot(tk, t, axes=[[2, 3], [k, n + k]])
-        t = np.moveaxis(t, [0, 1], [k, n + k])
-    return HermitianOperator(t.reshape(x.dim, x.dim), x.dims)
+    out = _pauli_product(np.stack([m.matrix for m in maps]), x.matrix)
+    return HermitianOperator(out, x.dims)
 
 
 class PauliDiagonalMap:
@@ -331,30 +351,20 @@ class PauliDiagonalMap:
 
     def superop(self) -> np.ndarray:
         d = 2**self.nqubits
-        mats = [np.eye(1, dtype=np.complex128)]
-        for _ in range(self.nqubits):
-            mats = [np.kron(a, s) for a in mats for s in SIGMA]
-        vecs = np.array([m.reshape(-1) for m in mats])
-        return (vecs.T * self.coeffs.reshape(-1)) @ vecs.conj() / d
+        units = np.eye(d * d).reshape(d * d, d, d)  # column (a, b) is Phi[E_ab]
+        return _pauli_product(self.coeffs, units, diagonal=True).reshape(d * d, d * d).T
 
     def apply(self, x) -> np.ndarray:
         d = 2**self.nqubits
         x = np.asarray(x, dtype=np.complex128)
         if x.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix")
-        return (self.superop() @ x.reshape(-1)).reshape(d, d)
+        return _pauli_product(self.coeffs, x, diagonal=True)
 
     def choi(self) -> HermitianOperator:
         """Choi operator, a ``4^n``-dimensional Hermitian matrix."""
         d = 2**self.nqubits
-        s = self.superop()
-        omega = np.zeros((d * d, d * d), dtype=np.complex128)
-        for a in range(d):
-            for b in range(d):
-                eab = np.zeros((d, d), dtype=np.complex128)
-                eab[a, b] = 1.0
-                omega += np.kron(s[:, a * d + b].reshape(d, d), eab) / d
-        return HermitianOperator(omega, (d, d))
+        return HermitianOperator(_realign(self.superop(), d) / d, (d, d))
 
 
 @dataclass(frozen=True)
@@ -441,7 +451,7 @@ def classify(m, oracle_cfg=None) -> ClassificationReport:
 
         cfg = oracle_cfg if oracle_cfg is not None else OracleConfig(restarts=16)
         value = block_positivity_min(omega, cut=(0,), cfg=cfg)
-        positive = value >= -1e-9
+        positive = value >= -PSD_CONFIRM_TOL
         margins["positivity"] = float(value)
         method = "numeric-block-positivity"
 

@@ -16,6 +16,7 @@ disagreements between a named analytic criterion and its oracle.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -28,10 +29,12 @@ from .linalg import (
     PSD_REFUTE_TOL,
     ConvergenceError,
     HermitianOperator,
+    symmetric_linspace,
 )
 from .maps import (
     PauliDiagonalMap,
     PauliMap,
+    _pauli_product,
     choi,
     classify,
     max_entangled_projector,
@@ -91,21 +94,6 @@ class SeeSawResult:
 def _random_unit(rng, n: int, dim: int) -> np.ndarray:
     v = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def symmetric_linspace(lo: float, hi: float, steps: int) -> np.ndarray:
-    """Evenly spaced grid whose floats are exactly symmetric about the center.
-
-    ``np.linspace`` accumulates rounding asymmetrically, which makes exact
-    boundary slacks (for example at ``l_j^2 = l_k^2``) flip sign between
-    mirror grid points; integer-times-step construction keeps mirror points
-    bitwise negatives of each other.
-    """
-    if steps < 2:
-        raise ValueError("a grid needs at least two steps")
-    mid = (lo + hi) / 2.0
-    offsets = np.arange(steps) - (steps - 1) / 2.0
-    return offsets * ((hi - lo) / (steps - 1)) + mid
 
 
 def _min_eigvecs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,22 +205,14 @@ def _entangled_inits(w4, dims_a, dims_b) -> np.ndarray | None:
 
 
 def _tensor_superop(maps) -> np.ndarray:
-    """Row-major superoperator of the tensor product of qubit maps."""
+    """Row-major superoperator of the tensor product of qubit maps: the outer
+    product of the single-map superoperators, with row and column indices regrouped."""
     n = len(maps)
-    d = 2**n
-    tensors = [m.superop().reshape(2, 2, 2, 2) for m in maps]
-    s = np.zeros((d * d, d * d), dtype=np.complex128)
-    dims = (2,) * n
-    for col in range(d * d):
-        a, b = divmod(col, d)
-        x = np.zeros((d, d), dtype=np.complex128)
-        x[a, b] = 1.0
-        t = x.reshape(dims + dims)
-        for k, tk in enumerate(tensors):
-            t = np.tensordot(tk, t, axes=[[2, 3], [k, n + k]])
-            t = np.moveaxis(t, [0, 1], [k, n + k])
-        s[:, col] = t.reshape(-1)
-    return s
+    s = maps[0].superop()
+    for m in maps[1:]:
+        s = np.multiply.outer(s, m.superop())
+    order = [4 * k + j for j in range(4) for k in range(n)]
+    return s.reshape((2,) * (4 * n)).transpose(order).reshape(4**n, 4**n)
 
 
 def min_output_eig(
@@ -245,7 +225,8 @@ def min_output_eig(
     Samples ``cfg.sample_count`` Haar-like pure states of ``len(maps)``
     qubits, then refines the best candidates by alternating eigenvector
     descent on the bilinear form ``<v|(tensor maps)[psi psi*]|v>``.  Returns
-    an upper bound on the true minimum.
+    an upper bound on the true minimum.  The product's superoperator is built
+    once, as the outer product of the single-map superoperators.
     """
     cfg = cfg or OracleConfig()
     n = len(maps)
@@ -340,15 +321,20 @@ def _2tsp_oracle(pt, params, cfg):
     return block_positivity_min(choi([m, m]), cut=(0, 2), cfg=cfg)
 
 
-def _3tsp_oracle(pt, params, cfg):
-    from .witness import ghz_variants
+# The rotated GHZ projectors of ``witness.ghz_variants`` conjugate every qubit
+# by ``U_i U_j``, a signed permutation of the Pauli axes; the output spectra are
+# those of the plain projector under the map with permuted ``(l1, l2, l3)``.
+_AXIS_ORDERS = np.array([(0, *p) for p in itertools.permutations((1, 2, 3))])
+_GHZ3 = np.zeros((8, 8))
+_GHZ3[0, 0] = _GHZ3[0, 7] = _GHZ3[7, 0] = _GHZ3[7, 7] = 0.5
 
-    m = PauliMap.unital(pt)
-    best = np.inf
-    for state in ghz_variants(3):
-        out = tensor_apply([m, m, m], state.rho)
-        best = min(best, out.min_eig())
-    return float(best)
+
+def _3tsp_oracle(pt, params, cfg):
+    """Smallest output eigenvalue of the three-fold map over the GHZ variants:
+    one Pauli-basis product for all six axis orderings, one batched ``eigvalsh``."""
+    lam = np.concatenate([[1.0], pt])[_AXIS_ORDERS]
+    outs = _pauli_product(np.einsum("pi,pj,pk->pijk", lam, lam, lam), _GHZ3, diagonal=True)
+    return float(np.linalg.eigvalsh(outs)[:, 0].min())
 
 
 def _nonunital(pt, params) -> NonUnitalFamilyMap:
@@ -521,7 +507,7 @@ def region_scan(
     if np.isscalar(steps):
         steps = (int(steps),) * len(crit.axes)
     if len(steps) != len(crit.axes):
-        raise ValueError(f"{criterion} needs {len(spec.axes)} step counts")
+        raise ValueError(f"{criterion} needs {len(crit.axes)} step counts")
     grids = tuple(
         symmetric_linspace(lo, hi, k) for (lo, hi), k in zip(crit.bounds, steps)
     )

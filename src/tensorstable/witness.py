@@ -10,14 +10,12 @@ canonical state is still detected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .criteria import is_2tsp, is_3tsp
-from .linalg import SIGMA, HermitianOperator, kron_all
-from .maps import PauliMap, tensor_apply
-from .oracles import symmetric_linspace
+from .linalg import SIGMA, HermitianOperator, kron_all, symmetric_linspace
+from .maps import PauliMap, _pauli_product, tensor_apply
 
 __all__ = [
     "DepthVerdict",
@@ -196,27 +194,14 @@ def depth_witness(state: MultiQubitState, lam, n: int) -> DepthVerdict:
     return DepthVerdict(lower_bound=bound, witness_map=lam, neg_eig=float(neg))
 
 
-@lru_cache(maxsize=8)
-def _pauli_basis_3() -> tuple[np.ndarray, np.ndarray]:
-    """Stacked three-qubit Pauli products and their flattened conjugates."""
-    mats = np.stack(
-        [kron_all([SIGMA[i], SIGMA[j], SIGMA[k]]) for i in range(4) for j in range(4) for k in range(4)]
-    )
-    return mats, mats.reshape(64, 64).conj()
-
-
 def _output_min_eigs(lams: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the three-fold map output, one value per map.
 
     ``lams`` has shape (nmaps, 3); maps act in the lambda form with l0 = 1.
     """
-    mats, flat_conj = _pauli_basis_3()
-    coeffs = (flat_conj @ rho.reshape(-1)).real  # tr(sigma_idx rho)
     lam4 = np.concatenate([np.ones((len(lams), 1)), lams], axis=1)
-    scale = np.einsum("ri,rj,rk->rijk", lam4, lam4, lam4).reshape(len(lams), 64)
-    outs = np.tensordot(scale * coeffs, mats, axes=(1, 0)) / 8.0
-    outs = (outs + np.conj(np.swapaxes(outs, -1, -2))) / 2
-    return np.linalg.eigvalsh(outs)[:, 0].real
+    outs = _pauli_product(np.einsum("ri,rj,rk->rijk", lam4, lam4, lam4), rho, diagonal=True)
+    return np.linalg.eigvalsh(outs)[:, 0]
 
 
 def _scan_maps_n1(cfg: WitnessScanConfig) -> np.ndarray:

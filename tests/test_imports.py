@@ -1,0 +1,50 @@
+"""Package modules import one way: each may import only modules before it."""
+
+import ast
+from pathlib import Path
+
+import tensorstable
+
+# criteria comes before nonunital, which builds on its verdict type.
+ORDER = ["linalg", "maps", "criteria", "nonunital", "oracles", "witness", "cli"]
+
+# Imports inside functions that still run against the order.
+KNOWN_LAZY = {("maps", "nonunital"), ("maps", "oracles")}
+
+
+def relative_imports(module):
+    """(imported module, whether the import sits inside a function) pairs."""
+    tree = ast.parse((Path(tensorstable.__file__).parent / f"{module}.py").read_text())
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            nested = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if isinstance(child, ast.ImportFrom) and child.level == 1:
+                found.append((child.module, nested))
+            visit(child, nested)
+
+    visit(tree, False)
+    return found
+
+
+def test_every_module_is_ordered():
+    package = Path(tensorstable.__file__).parent
+    assert {p.stem for p in package.glob("*.py")} == set(ORDER) | {"__init__"}
+
+
+def test_imports_follow_the_module_order():
+    backward = []
+    for module in ORDER:
+        for target, lazy in relative_imports(module):
+            if ORDER.index(target) < ORDER.index(module):
+                continue
+            if lazy and (module, target) in KNOWN_LAZY:
+                continue
+            backward.append(f"{module} -> {target}")
+    assert backward == []
+
+
+def test_known_exceptions_are_still_needed():
+    used = {(m, t) for m in ORDER for t, lazy in relative_imports(m) if lazy}
+    assert KNOWN_LAZY <= used

@@ -1,10 +1,11 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tensorstable.linalg import SIGMA, HermitianOperator, hermitian_spectrum
+from tensorstable.linalg import SIGMA, HermitianOperator, hermitian_spectrum, kron_all
 from tensorstable.maps import (
     GeneralQubitMap,
     PauliDiagonalMap,
@@ -20,6 +21,7 @@ from tensorstable.maps import (
     q_to_lambda,
     tensor_apply,
 )
+from tensorstable.maps import _pauli_product
 
 RNG = np.random.default_rng(20240902)
 
@@ -293,6 +295,73 @@ class TestTensorApply:
             m2 = pos_maps[k % len(pos_maps)]
             out = tensor_apply([m1, m2], rho)
             assert out.min_eig() >= -1e-9
+
+
+def pauli_superop(e, n):
+    """Row-major superoperator of the n-qubit map with Pauli-basis matrix ``e``.
+
+    ``vecs`` holds ``vec(sigma_idx)`` of every n-qubit Pauli product as its rows.
+    """
+    paulis = [np.eye(1, dtype=complex)]
+    for _ in range(n):
+        paulis = [np.kron(p, s) for p in paulis for s in SIGMA]
+    vecs = np.array([p.reshape(-1) for p in paulis])
+    return vecs.T @ e @ vecs.conj() / 2**n
+
+
+def kron_superop(matrices):
+    """Superoperator of a product map, whose Pauli-basis matrix is ``kron(E_1, ..., E_n)``."""
+    return pauli_superop(kron_all(matrices), len(matrices))
+
+
+def random_general_maps(n, rng=RNG):
+    # Translations (first column) and off-diagonal entries are all nonzero.
+    return [GeneralQubitMap(rng.uniform(-1, 1, (4, 4))) for _ in range(n)]
+
+
+class TestPauliProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_general_maps_match_kron_superop(self, n):
+        d = 2**n
+        for _ in range(3):
+            maps = random_general_maps(n)
+            x = RNG.standard_normal((d, d)) + 1j * RNG.standard_normal((d, d))
+            expected = (kron_superop([m.matrix for m in maps]) @ x.reshape(-1)).reshape(d, d)
+            out = _pauli_product(np.stack([m.matrix for m in maps]), x)
+            assert np.abs(out - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_diagonal_form_matches_full_matrices(self, n):
+        lam = RNG.uniform(-1, 1, (n, 4))
+        x = rand_state(n).matrix
+        full = _pauli_product(np.stack([np.diag(row) for row in lam]), x)
+        table = functools.reduce(np.multiply.outer, lam)
+        assert np.abs(_pauli_product(table, x, diagonal=True) - full).max() < 1e-14
+
+    def test_diagonal_table_matches_kron_superop(self):
+        coeffs = RNG.uniform(-1, 1, (4, 4))
+        x = rand_state(2).matrix
+        expected = (pauli_superop(np.diag(coeffs.reshape(-1)), 2) @ x.reshape(-1)).reshape(4, 4)
+        assert np.abs(_pauli_product(coeffs, x, diagonal=True) - expected).max() < 1e-14
+
+    def test_stack_of_maps(self):
+        stack = np.stack([np.stack([m.matrix for m in random_general_maps(3)]) for _ in range(5)])
+        x = rand_state(3).matrix
+        xs = np.stack([rand_state(3).matrix for _ in range(5)])
+        one_x = _pauli_product(stack, x)
+        many_x = _pauli_product(stack, xs)
+        assert one_x.shape == many_x.shape == (5, 8, 8)
+        for e, y, out_one, out_many in zip(stack, xs, one_x, many_x):
+            sup = kron_superop(list(e))
+            assert np.abs(out_one - (sup @ x.reshape(-1)).reshape(8, 8)).max() < 1e-12
+            assert np.abs(out_many - (sup @ y.reshape(-1)).reshape(8, 8)).max() < 1e-12
+
+    def test_tensor_apply_matches_kron_superop(self):
+        maps = random_general_maps(2)
+        rho = rand_state(2)
+        # Hermitian-preserving but otherwise general maps: output stays Hermitian.
+        expected = (kron_superop([m.matrix for m in maps]) @ rho.matrix.reshape(-1)).reshape(4, 4)
+        assert np.abs(tensor_apply(maps, rho).matrix - expected).max() < 1e-12
 
 
 class TestPauliDiagonalMap:

@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from tensorstable import linalg
 from tensorstable.linalg import ConvergenceError
-from tensorstable.maps import PauliMap, choi, classify
+from tensorstable.maps import GeneralQubitMap, PauliMap, choi, classify, tensor_apply
 from tensorstable.oracles import (
     OracleConfig,
+    _tensor_superop,
     block_positivity_min,
     decomposability_fixtures,
     ex2_family,
@@ -16,6 +18,7 @@ from tensorstable.oracles import (
     region_scan,
     symmetric_linspace,
 )
+from tensorstable.witness import ghz_variants
 
 RNG = np.random.default_rng(20240905)
 FAST = OracleConfig(restarts=8, sample_count=256)
@@ -43,6 +46,9 @@ class TestSymmetricLinspace:
     def test_bounds(self):
         g = symmetric_linspace(0, 1, 5)
         assert g[0] == 0.0 and g[-1] == 1.0
+
+    def test_lives_in_linalg(self):
+        assert symmetric_linspace is linalg.symmetric_linspace
 
 
 class TestBlockPositivity:
@@ -93,6 +99,42 @@ class TestBlockPositivity:
             block_positivity_min(om, (0, 1, 2, 3), FAST)
 
 
+def column_loop_superop(maps):
+    """Superoperator built one basis column at a time with per-factor tensordots."""
+    n = len(maps)
+    d = 2**n
+    tensors = [m.superop().reshape(2, 2, 2, 2) for m in maps]
+    s = np.zeros((d * d, d * d), dtype=np.complex128)
+    for col in range(d * d):
+        a, b = divmod(col, d)
+        x = np.zeros((d, d), dtype=np.complex128)
+        x[a, b] = 1.0
+        t = x.reshape((2,) * (2 * n))
+        for k, tk in enumerate(tensors):
+            t = np.tensordot(tk, t, axes=[[2, 3], [k, n + k]])
+            t = np.moveaxis(t, [0, 1], [k, n + k])
+        s[:, col] = t.reshape(-1)
+    return s
+
+
+class TestTensorSuperop:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pauli_maps_equal_column_loop(self, n):
+        maps = [PauliMap(tuple(RNG.uniform(-1, 1, 4))) for _ in range(n)]
+        assert np.array_equal(_tensor_superop(maps), column_loop_superop(maps))
+
+    def test_depolarizing_pair_equals_column_loop(self):
+        maps = [PauliMap.depolarizing(0.35), PauliMap.depolarizing(-0.8)]
+        assert np.array_equal(_tensor_superop(maps), column_loop_superop(maps))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_general_maps_match_column_loop(self, n):
+        # Complex entries: BLAS and elementwise complex products may round
+        # differently, so agreement is to the last bit rather than bitwise.
+        maps = [GeneralQubitMap(RNG.uniform(-1, 1, (4, 4))) for _ in range(n)]
+        assert np.abs(_tensor_superop(maps) - column_loop_superop(maps)).max() < 1e-15
+
+
 class TestMinOutputEig:
     def test_identity_pair(self):
         v = min_output_eig([PauliMap.identity()] * 2, FAST)
@@ -140,6 +182,19 @@ class TestRegionScan:
     def test_unknown_criterion(self):
         with pytest.raises(ValueError, match="unknown criterion"):
             region_scan("nope", steps=3)
+
+    def test_wrong_number_of_step_counts(self):
+        with pytest.raises(ValueError, match="needs 3 step counts"):
+            region_scan("2tsp", steps=(3, 3), cfg=FAST)
+
+    def test_3tsp_agrees_with_ghz_variant_reference(self):
+        rep = region_scan("3tsp", steps=7, cfg=FAST)
+        assert rep.summary["disagree"] == 0
+        variants = ghz_variants(3)
+        for pt, value in zip(rep.points, rep.oracle):
+            m = PauliMap.unital(pt)
+            reference = min(tensor_apply([m] * 3, v.rho).min_eig() for v in variants)
+            assert abs(value - reference) <= 1e-12
 
     def test_registry(self):
         assert set(region_criteria()) == {
