@@ -31,7 +31,7 @@ for family, n, meaning in [
     res = threshold_search(family, n, WitnessScanConfig(steps=21))
     lam = tuple(round(float(v), 3) for v in res.witness)
     print(
-        f"  {family:3} n={n}: {meaning} for q >= {res.q_star:.3f} "
+        f"  {family:3} n={n}: {meaning} for q > {res.q_star:.3f} "
         f"(witness l = {lam})"
     )
 

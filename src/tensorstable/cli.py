@@ -1,8 +1,9 @@
 """Command-line front end: classification, region scans, lifting, witnessing.
 
 Exit codes: 0 success, 1 malformed input, 2 domain error, 3 numeric error.
-Output is deterministic for a fixed (command line, seed); the environment
-variable ``TSP_SEED`` overrides ``--seed``.
+Output is deterministic for a fixed (command line, seed); ``region`` and
+``verify`` take ``--seed``, which the environment variable ``TSP_SEED``
+overrides.
 """
 
 from __future__ import annotations
@@ -64,13 +65,29 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(payload, args) -> None:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+def _write(text: str, args) -> None:
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, args) -> None:
+    _write(json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n", args)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_lambda(text: str) -> tuple[float, ...]:
@@ -78,6 +95,8 @@ def _parse_lambda(text: str) -> tuple[float, ...]:
         vals = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise _UsageError(f"bad --lambda value {text!r}") from None
+    if not np.all(np.isfinite(vals)):
+        raise _UsageError(f"--lambda values must be finite, got {text!r}")
     if len(vals) == 3:
         vals = (1.0, *vals)
     if len(vals) != 4:
@@ -95,8 +114,11 @@ def _verdict_dict(v) -> dict:
 
 def _cmd_classify(args) -> dict:
     if args.map:
-        with open(args.map) as fh:
-            m = map_from_json(fh.read())
+        try:
+            with open(args.map) as fh:
+                m = map_from_json(fh.read())
+        except (OSError, ValueError) as exc:
+            raise _UsageError(f"bad --map file: {exc}") from None
     elif args.lam is not None:
         lam = _parse_lambda(args.lam)
         if args.t is not None:
@@ -150,17 +172,10 @@ def _cmd_classify(args) -> dict:
 def _cmd_region(args, summary_only: bool = False):
     cfg = OracleConfig(restarts=8, sample_count=256, seed=args.seed)
     params = {"t": args.t} if args.t is not None else None
-    rep = region_scan(
-        args.criterion, steps=args.grid, params=params, cfg=cfg, threads=args.threads
-    )
+    rep = region_scan(args.criterion, steps=args.grid, params=params, cfg=cfg)
     if summary_only:
         return {"criterion": rep.criterion, "params": rep.params, "summary": rep.summary}
-    text = rep.to_csv() if args.format == "csv" else rep.to_json() + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(rep.to_csv() if args.format == "csv" else rep.to_json() + "\n", args)
     return None
 
 
@@ -200,39 +215,39 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="oracle seed (TSP_SEED overrides)")
         p.add_argument("--out", help="write the result to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def scan(p):
+        p.add_argument("--criterion", required=True, choices=region_criteria())
+        p.add_argument("--grid", type=int, default=None, help="steps per axis")
+        p.add_argument("--t", type=_finite_float, default=None, help="family translation parameter")
+        p.add_argument("--seed", type=int, default=0, help="oracle seed (TSP_SEED overrides)")
+        common(p)
 
     p = sub.add_parser("classify", help="classify a qubit map and run all criteria")
     p.add_argument("--lambda", dest="lam", help="l0,l1,l2,l3 or l1,l2,l3 (l0=1 assumed)")
-    p.add_argument("--t", type=float, help="translation along the third axis")
+    p.add_argument("--t", type=_finite_float, help="translation along the third axis")
     p.add_argument("--map", help="path to a map JSON file")
     common(p)
 
     p = sub.add_parser("region", help="grid scan of a criterion against its oracle")
-    p.add_argument("--criterion", required=True, choices=region_criteria())
-    p.add_argument("--grid", type=int, default=None, help="steps per axis")
-    p.add_argument("--t", type=float, default=None, help="family translation parameter")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    common(p)
+    scan(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    # Not an option: the benchmark harness (bench/run.py) records this value.
+    p.set_defaults(threads=1)
 
     p = sub.add_parser("verify", help="like region, but print the agreement summary only")
-    p.add_argument("--criterion", required=True, choices=region_criteria())
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    common(p)
+    scan(p)
 
     p = sub.add_parser("lift", help="shrink an n-stable map into an (n+1)-stable one")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", type=float, default=None, help="mixing parameter (default x_max)")
+    p.add_argument("--x", type=_finite_float, default=None, help="mixing parameter (default x_max)")
     common(p)
 
     p = sub.add_parser("reduce", help="reduce a translated family map to unital form")
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     common(p)
 
     p = sub.add_parser("witness", help="entanglement-depth detection threshold search")
@@ -250,9 +265,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if "TSP_SEED" in os.environ and hasattr(args, "seed"):
-        args.seed = int(os.environ["TSP_SEED"])
     try:
+        if "TSP_SEED" in os.environ and hasattr(args, "seed"):
+            try:
+                args.seed = int(os.environ["TSP_SEED"])
+            except ValueError:
+                raise _UsageError(f"bad TSP_SEED value {os.environ['TSP_SEED']!r}") from None
         if args.command == "classify":
             _emit(_cmd_classify(args), args)
         elif args.command == "region":

@@ -310,6 +310,18 @@ def _pauli_product(e, x, diagonal: bool = False) -> np.ndarray:
     return _permute_tail(t.reshape(lead + (2,) * (2 * n)), np.argsort(pairs)).reshape(lead + (2**n, 2**n))
 
 
+def _power_min_eigs(lams, rho) -> np.ndarray:
+    """Smallest eigenvalue of ``Phi_lam^{(x)n}[rho]`` for each row of an ``(m, 4)``
+    stack of Pauli-map lambdas; ``n`` is read from the ``2**n``-dimensional ``rho``."""
+    lams = np.asarray(lams, dtype=float)
+    n = np.shape(rho)[-1].bit_length() - 1
+    # Coefficient table of the n-fold power: table[r, i1, ..., in] = prod_k lams[r, ik].
+    table = lams
+    for k in range(1, n):
+        table = table[..., None] * lams.reshape((-1,) + (1,) * k + (4,))
+    return np.linalg.eigvalsh(_pauli_product(table, rho, diagonal=True))[:, 0]
+
+
 def tensor_apply(maps, x: HermitianOperator) -> HermitianOperator:
     """Apply one qubit map per tensor factor of ``x``, in the Pauli basis (:func:`_pauli_product`)."""
     if not isinstance(x, HermitianOperator):
@@ -487,10 +499,22 @@ def map_to_json(m) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _finite_floats(values, name: str) -> list[float]:
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a list of numbers") from None
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must be finite")
+    return out
+
+
 def map_from_json(text: str):
     """Inverse of :func:`map_to_json`; 3-component lambda implies l0 = 1."""
     data = json.loads(text)
-    lam = [float(v) for v in data["lambda"]]
+    if not isinstance(data, dict) or "lambda" not in data:
+        raise ValueError('map JSON must be an object with a "lambda" entry')
+    lam = _finite_floats(data["lambda"], "lambda")
     if len(lam) == 3:
         lam = [1.0, *lam]
     if len(lam) != 4:
@@ -498,8 +522,8 @@ def map_from_json(text: str):
     if "t" in data:
         t = data["t"]
         if np.isscalar(t):
-            t = [0.0, 0.0, float(t)]
-        t = [float(v) for v in t]
+            t = [0.0, 0.0, t]
+        t = _finite_floats(t, "t")
         if len(t) != 3:
             raise ValueError("t must have three components")
         if lam[0] != 1.0:

@@ -34,7 +34,7 @@ from .linalg import (
 from .maps import (
     PauliDiagonalMap,
     PauliMap,
-    _pauli_product,
+    _power_min_eigs,
     choi,
     classify,
     max_entangled_projector,
@@ -331,10 +331,8 @@ _GHZ3[0, 0] = _GHZ3[0, 7] = _GHZ3[7, 0] = _GHZ3[7, 7] = 0.5
 
 def _3tsp_oracle(pt, params, cfg):
     """Smallest output eigenvalue of the three-fold map over the GHZ variants:
-    one Pauli-basis product for all six axis orderings, one batched ``eigvalsh``."""
-    lam = np.concatenate([[1.0], pt])[_AXIS_ORDERS]
-    outs = _pauli_product(np.einsum("pi,pj,pk->pijk", lam, lam, lam), _GHZ3, diagonal=True)
-    return float(np.linalg.eigvalsh(outs)[:, 0].min())
+    the three-fold power of all six axis orderings applied to the plain projector."""
+    return float(_power_min_eigs(np.concatenate([[1.0], pt])[_AXIS_ORDERS], _GHZ3).min())
 
 
 def _nonunital(pt, params) -> NonUnitalFamilyMap:
@@ -486,13 +484,12 @@ def region_scan(
     steps: int | Sequence[int] | None = None,
     params: dict | None = None,
     cfg: OracleConfig | None = None,
-    threads: int = 1,
 ) -> RegionScanReport:
     """Sweep a parameter grid, comparing an analytic criterion to its oracle.
 
-    Per-point oracle seeds derive from ``(cfg.seed, point index)`` so the
-    report is independent of evaluation order; ``threads > 1`` distributes
-    points over a thread pool.
+    Points are evaluated in row-major grid order.  Each point's oracle seed
+    derives from ``(cfg.seed, point index)``, so a report depends only on
+    the criterion, grid, parameters and ``cfg``.
     """
     if criterion not in _REGION_CRITERIA:
         raise ValueError(
@@ -519,20 +516,10 @@ def region_scan(
     slack = np.zeros(npts, dtype=float)
     oracle = np.zeros(npts, dtype=float)
 
-    def run(i: int) -> None:
-        pt = points[i]
+    for i, pt in enumerate(points):
         analytic[i], slack[i] = crit.analytic(pt, merged)
         seed = int(np.random.SeedSequence((cfg.seed, i)).generate_state(1)[0])
         oracle[i] = crit.oracle(pt, merged, dataclasses.replace(cfg, seed=seed))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(npts)))
-    else:
-        for i in range(npts):
-            run(i)
 
     flags = np.array([_flag(a, sl, o) for a, sl, o in zip(analytic, slack, oracle)])
     summary = {

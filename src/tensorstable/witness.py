@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import is_2tsp, is_3tsp
+from .criteria import as_lambda_point, is_2tsp, is_3tsp
 from .linalg import SIGMA, HermitianOperator, kron_all, symmetric_linspace
-from .maps import PauliMap, _pauli_product, tensor_apply
+from .maps import _power_min_eigs
 
 __all__ = [
     "DepthVerdict",
@@ -68,7 +68,12 @@ class DepthVerdict:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Outcome of a threshold search: detection onset and the witnessing map."""
+    """Outcome of a threshold search: detection onset and the witnessing map.
+
+    ``neg_eig`` is the witness's smallest output eigenvalue on the noiseless
+    state (``q = 1``); it lies below ``-NEGATIVITY_TOL`` exactly when a
+    witness was found.
+    """
 
     q_star: float
     witness: np.ndarray | None
@@ -184,24 +189,12 @@ def depth_witness(state: MultiQubitState, lam, n: int) -> DepthVerdict:
     least ``n + 1``; otherwise the verdict is inconclusive (bound 1).
     The map must pass the strongest closed-form certificate for ``n``.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = as_lambda_point(lam)
     if not _certified(lam, n):
         raise ValueError("witness map not certified n-TSP")
-    m = PauliMap.unital(lam)
-    out = tensor_apply([m] * state.n, state.rho)
-    neg = out.min_eig()
+    neg = _power_min_eigs(np.insert(lam, 0, 1.0)[None], state.rho.matrix)[0]
     bound = n + 1 if neg < -NEGATIVITY_TOL else 1
     return DepthVerdict(lower_bound=bound, witness_map=lam, neg_eig=float(neg))
-
-
-def _output_min_eigs(lams: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the three-fold map output, one value per map.
-
-    ``lams`` has shape (nmaps, 3); maps act in the lambda form with l0 = 1.
-    """
-    lam4 = np.concatenate([np.ones((len(lams), 1)), lams], axis=1)
-    outs = _pauli_product(np.einsum("ri,rj,rk->rijk", lam4, lam4, lam4), rho, diagonal=True)
-    return np.linalg.eigvalsh(outs)[:, 0]
 
 
 def _scan_maps_n1(cfg: WitnessScanConfig) -> np.ndarray:
@@ -249,9 +242,13 @@ def threshold_search(
 
     ``family`` is ``"ghz"`` or ``"w"`` (three-qubit state mixed with white
     noise at weight ``1 - q``); ``n`` in ``{1, 2}`` selects the certificate
-    the scanned maps must carry.  The answer is located by bisection over
-    ``q`` to 1e-3; when no map in the scan detects even the pure state the
-    result is ``q_star = 1.0`` with an empty witness.
+    the scanned maps must carry.  The maps are unital and trace preserving,
+    so a map whose output on the pure state has smallest eigenvalue ``m``
+    outputs ``q m + (1 - q) / 8`` on the noisy one, and detects it exactly
+    for ``q > (1/8 + NEGATIVITY_TOL) / (1/8 - m)``.  That onset grows with
+    ``m``, so the map with the smallest ``m`` gives ``q_star`` in closed
+    form.  When no scanned map detects even the pure state the result is
+    ``q_star = 1.0`` with an empty witness.
     """
     key = family.lower().removesuffix("depol").rstrip("-_")
     if key == "ghz":
@@ -266,23 +263,10 @@ def threshold_search(
 
     lams = _scan_maps_n1(cfg) if n == 1 else _scan_maps_n2(cfg)
     lams = lams[[_certified(p, n) for p in lams]]
-    proj = np.outer(psi, psi.conj())
-    m_min = _output_min_eigs(lams, proj)
-
-    # The states are q P + (1-q) I/8 and the maps are unital and trace
-    # preserving, so each output eigenvalue is affine in q.
-    def detected(q: float) -> np.ndarray:
-        return q * m_min + (1.0 - q) / 8.0 < -NEGATIVITY_TOL
-
-    if not detected(1.0).any():
-        return ThresholdResult(q_star=1.0, witness=None, neg_eig=float(m_min.min()))
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-3:
-        mid = (lo + hi) / 2
-        if detected(mid).any():
-            hi = mid
-        else:
-            lo = mid
-    vals = hi * m_min + (1.0 - hi) / 8.0
-    best = int(np.argmin(vals))
-    return ThresholdResult(q_star=hi, witness=lams[best], neg_eig=float(vals[best]))
+    m_min = _power_min_eigs(np.insert(lams, 0, 1.0, axis=1), np.outer(psi, psi.conj()))
+    best = int(np.argmin(m_min))
+    m = float(m_min[best])
+    if m >= -NEGATIVITY_TOL:
+        return ThresholdResult(q_star=1.0, witness=None, neg_eig=m)
+    q_star = (0.125 + NEGATIVITY_TOL) / (0.125 - m)
+    return ThresholdResult(q_star=q_star, witness=lams[best], neg_eig=m)

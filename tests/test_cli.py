@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from tensorstable.cli import main
+from tensorstable.oracles import region_criteria
 
 
 def run(capsys, *argv):
@@ -75,6 +77,38 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--lambda", "1,2")
         assert code == 1
 
+    @pytest.mark.parametrize("lam", ["2,0,1,nan", "inf,0,0"])
+    def test_non_finite_lambda(self, capsys, lam):
+        code, out, err = run(capsys, "classify", "--lambda", lam)
+        assert code == 1 and out == ""
+        assert "finite" in err
+
+    def test_non_finite_translation(self, capsys):
+        code, out, _ = run(capsys, "classify", "--lambda", "0,0,0", "--t", "nan")
+        assert code == 1 and out == ""
+
+    def test_missing_map_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "classify", "--map", str(tmp_path / "missing.json"))
+        assert code == 1
+        assert "Traceback" not in err
+
+    def test_map_file_without_lambda(self, capsys, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text('{"t": [0.0, 0.0, 0.5]}')
+        code, _, err = run(capsys, "classify", "--map", str(path))
+        assert code == 1
+        assert "lambda" in err
+
+    def test_unwritable_output_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, _ = run(capsys, "classify", "--lambda", "0.5,0.5,0.5", "--out", str(target))
+        assert code == 1 and out == ""
+
+    def test_overflow_is_not_written_as_json(self, capsys):
+        # Finite input whose slacks overflow to nan: an error exit, not "NaN" on stdout.
+        code, out, _ = run(capsys, "classify", "--lambda", "1e300,1e300,1e300")
+        assert code in (1, 2) and out == ""
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(
@@ -130,6 +164,27 @@ class TestRegion:
         code, _, err = run(capsys, "region", "--criterion", "nope")
         assert code == 1
 
+    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("TSP_SEED", "abc")
+        code, out, err = run(capsys, "region", "--criterion", "depolarizing", "--grid", "3")
+        assert code == 1 and out == ""
+        assert "TSP_SEED" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--lambda", "1,0,1", "--format", "csv"],
+        ["witness", "--family", "ghz", "--n", "1", "--seed", "3"],
+        ["region", "--criterion", "depolarizing", "--grid", "3", "--threads", "2"],
+        ["verify", "--criterion", "depolarizing", "--grid", "3", "--format", "csv"],
+    ],
+)
+def test_options_nothing_reads_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
+
 
 class TestVerify:
     def test_summary(self, capsys):
@@ -152,6 +207,15 @@ class TestLift:
         code, _, err = run(capsys, "lift", "--lambda", "0.1,0.1,0.1", "--n", "1")
         assert code == 2
         assert "domain error" in err
+
+    def test_non_finite_lambda(self, capsys):
+        code, out, err = run(capsys, "lift", "--lambda", "nan,0,1", "--n", "1")
+        assert code == 1 and out == ""
+        assert "finite" in err
+
+    def test_non_finite_mixing_parameter(self, capsys):
+        code, out, _ = run(capsys, "lift", "--lambda", "1,0,1", "--n", "1", "--x", "inf")
+        assert code == 1 and out == ""
 
 
 class TestReduce:
@@ -179,3 +243,79 @@ class TestWitness:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "witness", "--family", "ghz", "--n", "5")
         assert code == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestFuzz:
+    """Seeded malformed command lines: the exit-code contract and strict JSON hold."""
+
+    BAD_NUMBERS = ["nan", "inf", "-inf", "abc", "", "1e400"]
+    BAD_LAMBDAS = ["nan,0,1", "inf,0,0", "2,0,1,nan", "1,2", "1,,2", ",", "abc", "", "-1", "0", "1e400,0,0"]
+    BAD_INTS = ["-1", "0", "abc", "", "nan", "inf"]
+
+    def options(self, maps):
+        lam = ["0.5,0.5,0.5", "1,0.7,0,0.7", "0.3,-0.5,0.7", "0,0,0", "1e300,1e300,1e300"]
+        scan = {
+            "--criterion": (list(region_criteria()), ["nope", ""]),
+            "--grid": (["1", "2", "3"], self.BAD_INTS),
+            "--t": (["0.8", "0", "0.4", "-1", "5"], self.BAD_NUMBERS),
+            "--seed": (["0", "3", "-1"], self.BAD_INTS),
+        }
+        return {
+            "classify": {
+                "--lambda": (lam, self.BAD_LAMBDAS),
+                "--t": (["0.8", "0", "2"], self.BAD_NUMBERS),
+                "--map": (maps[:1], maps[1:]),
+            },
+            "region": {**scan, "--format": (["json", "csv"], ["xml", ""])},
+            "verify": scan,
+            "lift": {
+                "--lambda": (["1,0,1", "0.5,0.5,0.5", "0.1,0.1,0.1"], self.BAD_LAMBDAS),
+                "--n": (["1", "2", "5"], self.BAD_INTS),
+                "--x": (["0.1", "0", "2"], self.BAD_NUMBERS),
+            },
+            "reduce": {
+                "--lambda": (["0.3,-0.5,0.7", "0,0,0.5"], self.BAD_LAMBDAS),
+                "--t": (["0", "0.5", "0.9"], self.BAD_NUMBERS),
+            },
+            "witness": {
+                "--family": (["ghz", "w"], ["cluster", ""]),
+                "--n": (["1", "2"], self.BAD_INTS),
+                "--steps": (["2", "3", "5"], ["0", "1", "-1", "abc", ""]),
+            },
+        }
+
+    def test_exit_codes_and_strict_json(self, capsys, tmp_path):
+        maps = []
+        for name, text in [
+            ("good", '{"lambda": [0.5, 0.5, 0.5]}'),
+            ("no_lambda", "{}"),
+            ("nan", '{"lambda": [NaN, 0, 0]}'),
+            ("broken", '{"lambda": '),
+        ]:
+            (tmp_path / name).write_text(text)
+            maps.append(str(tmp_path / name))
+        maps.append(str(tmp_path / "missing"))
+        options = self.options(maps)
+        rng = np.random.default_rng(20241018)
+        codes = set()
+        for _ in range(200):
+            command = str(rng.choice(sorted(options)))
+            argv = [command]
+            for opt, (good, bad) in options[command].items():
+                # --grid is always given: the default grids take seconds per scan.
+                if opt != "--grid" and rng.random() < 0.2:
+                    continue
+                argv += [opt, str(rng.choice(good if rng.random() < 0.9 else bad))]
+            if rng.random() < 0.1:
+                argv += [str(rng.choice(["--threads", "--seed", "--format"])), "2"]
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err, argv
+            if out and not (command == "region" and "csv" in argv):
+                json.loads(out, parse_constant=_reject_constant)
+            codes.add(code)
+        assert {0, 1, 2} <= codes

@@ -21,7 +21,7 @@ from tensorstable.maps import (
     q_to_lambda,
     tensor_apply,
 )
-from tensorstable.maps import _pauli_product
+from tensorstable.maps import _pauli_product, _power_min_eigs
 
 RNG = np.random.default_rng(20240902)
 
@@ -364,6 +364,19 @@ class TestPauliProduct:
         assert np.abs(tensor_apply(maps, rho).matrix - expected).max() < 1e-12
 
 
+class TestPowerMinEigs:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_tensor_apply(self, n):
+        lams = RNG.uniform(-1, 1, (4, 4))
+        d = 2**n
+        a = RNG.standard_normal((d, d)) + 1j * RNG.standard_normal((d, d))
+        rho = HermitianOperator(a @ a.conj().T / np.trace(a @ a.conj().T).real, (2,) * n)
+        got = _power_min_eigs(lams, rho.matrix)
+        expected = [tensor_apply([PauliMap(tuple(lam))] * n, rho).min_eig() for lam in lams]
+        assert got.shape == (4,)
+        assert np.abs(got - expected).max() < 1e-12
+
+
 class TestPauliDiagonalMap:
     def test_single_qubit_matches_pauli_map(self):
         lam = RNG.uniform(-1, 1, 4)
@@ -414,6 +427,21 @@ class TestJson:
     def test_three_component_lambda(self):
         m = map_from_json('{"lambda": [0.1, 0.2, 0.3]}')
         assert m.lam == (1.0, 0.1, 0.2, 0.3)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            "[1, 0, 0, 0]",
+            '{"lambda": 0.5}',
+            '{"lambda": [1, "a", 0]}',
+            '{"lambda": [NaN, 0, 0]}',
+            '{"lambda": [0, 0, 0], "t": Infinity}',
+        ],
+    )
+    def test_rejects_malformed_json(self, text):
+        with pytest.raises(ValueError):
+            map_from_json(text)
 
     def test_rejects_off_diagonal(self):
         e = np.eye(4)

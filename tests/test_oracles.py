@@ -239,11 +239,6 @@ class TestRegionScan:
         b = region_scan("depolarizing", steps=7, cfg=FAST).to_csv()
         assert a == b
 
-    def test_threads_do_not_change_result(self):
-        a = region_scan("2tsp", steps=5, cfg=FAST, threads=1).to_csv()
-        b = region_scan("2tsp", steps=5, cfg=FAST, threads=4).to_csv()
-        assert a == b
-
     def test_nonunital_parameter_passthrough(self):
         rep = region_scan("nonunital-positive", steps=5, params={"t": 0.4}, cfg=FAST)
         assert rep.params["t"] == 0.4

@@ -6,6 +6,7 @@ from tensorstable.criteria import hyperboloid_point, is_2tsp
 from tensorstable.linalg import HermitianOperator, kron, partial_trace
 from tensorstable.maps import PauliMap, tensor_apply
 from tensorstable.witness import (
+    NEGATIVITY_TOL,
     MultiQubitState,
     WitnessScanConfig,
     build_state,
@@ -156,6 +157,28 @@ class TestThresholdSearch:
         v = depth_witness(state, res.witness, n=2)
         assert v.lower_bound == 3
 
+    # The steps=21 scans' witnesses; the n = 2 maps are hyperboloid points
+    # (21/29, 20/29, 0) up to axis order and sign, pulled inside by 1e-9.
+    @pytest.mark.parametrize(
+        "family, n, witness",
+        [
+            ("ghz", 1, (-1.0, -1.0, 0.0)),
+            ("ghz", 2, (-21 / 29, 20 / 29, 0.0)),
+            ("w", 1, (-1.0, 0.0, 1.0)),
+            ("w", 2, (20 / 29, 0.0, 21 / 29)),
+        ],
+    )
+    def test_exact_onset(self, family, n, witness):
+        res = threshold_search(family, n, WitnessScanConfig(steps=21))
+        shrink = 1.0 if n == 1 else 1.0 - 1e-9
+        assert_allclose(res.witness, np.array(witness) * shrink, rtol=0, atol=1e-15)
+        assert res.q_star == (1 / 8 + NEGATIVITY_TOL) / (1 / 8 - res.neg_eig)
+        kind = "ghz" if family == "ghz" else "w3"
+        above = depth_witness(build_state(kind, res.q_star * (1 + 1e-6)), res.witness, n)
+        below = depth_witness(build_state(kind, res.q_star * (1 - 1e-6)), res.witness, n)
+        assert above.lower_bound == n + 1
+        assert below.lower_bound == 1
+
     def test_family_normalization(self):
         a = threshold_search("ghz", 1, WitnessScanConfig(steps=5))
         b = threshold_search("ghzDepol", 1, WitnessScanConfig(steps=5))
@@ -175,3 +198,4 @@ class TestThresholdSearch:
         res = threshold_search("ghz", 2, WitnessScanConfig(steps=2))
         assert res.q_star == 1.0
         assert res.witness is None
+        assert res.neg_eig >= -NEGATIVITY_TOL
