@@ -32,7 +32,7 @@ from .nonunital import (
     is_2tsp_nonunital,
     reduce_to_unital,
 )
-from .oracles import OracleConfig, region_criteria, region_scan
+from .oracles import OracleConfig, region_criteria, region_params, region_scan
 from .witness import WitnessScanConfig, threshold_search
 
 __all__ = ["main"]
@@ -145,33 +145,41 @@ def _cmd_classify(args) -> dict:
         },
         "criteria": {},
     }
-    e = np.asarray(m.matrix)
-    translation = np.array([e[1, 0], e[2, 0], e[3, 0]])
-    if np.any(translation != 0.0) or (isinstance(m, GeneralQubitMap) and not m.is_diagonal()):
-        payload["map"]["t"] = [float(v) for v in translation]
-        # closed forms exist for a translation along the third axis only
-        if translation[0] == translation[1] == 0.0 and np.count_nonzero(e - np.diag(np.diag(e))) <= 1:
-            fam = NonUnitalFamilyMap(t=float(translation[2]), lam3=tuple(np.diag(e)[1:]))
-            payload["criteria"]["positive_family"] = _verdict_dict(classify_nonunital_positive(fam))
-            payload["criteria"]["ghz_output"] = _verdict_dict(ghz_output_conditions(fam))
-            if fam.interior_gap() > 1e-12:
-                payload["criteria"]["2tsp"] = _verdict_dict(is_2tsp_nonunital(fam))
-    else:
-        lam3 = np.diag(e)[1:] / e[0, 0] if e[0, 0] != 0 else np.diag(e)[1:]
-        payload["criteria"]["2tsp"] = _verdict_dict(is_2tsp(lam3))
-        payload["criteria"]["3tsp"] = _verdict_dict(is_3tsp(lam3))
-        payload["criteria"]["necessary"] = {
-            str(n): _verdict_dict(ntsp_necessary(lam3, n)) for n in (4, 5)
-        }
-        payload["criteria"]["ball"] = {
-            str(n): bool(ntsp_sufficient_ball(lam3, n)) for n in (2, 3, 4)
-        }
+    # Finite inputs can still overflow the criteria's powers to inf/nan slacks.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            e = np.asarray(m.matrix)
+            translation = np.array([e[1, 0], e[2, 0], e[3, 0]])
+            if np.any(translation != 0.0) or (isinstance(m, GeneralQubitMap) and not m.is_diagonal()):
+                payload["map"]["t"] = [float(v) for v in translation]
+                # closed forms exist for a translation along the third axis only
+                if translation[0] == translation[1] == 0.0 and np.count_nonzero(e - np.diag(np.diag(e))) <= 1:
+                    fam = NonUnitalFamilyMap(t=float(translation[2]), lam3=tuple(np.diag(e)[1:]))
+                    payload["criteria"]["positive_family"] = _verdict_dict(classify_nonunital_positive(fam))
+                    payload["criteria"]["ghz_output"] = _verdict_dict(ghz_output_conditions(fam))
+                    if fam.interior_gap() > 1e-12:
+                        payload["criteria"]["2tsp"] = _verdict_dict(is_2tsp_nonunital(fam))
+            else:
+                lam3 = np.diag(e)[1:] / e[0, 0] if e[0, 0] != 0 else np.diag(e)[1:]
+                payload["criteria"]["2tsp"] = _verdict_dict(is_2tsp(lam3))
+                payload["criteria"]["3tsp"] = _verdict_dict(is_3tsp(lam3))
+                payload["criteria"]["necessary"] = {
+                    str(n): _verdict_dict(ntsp_necessary(lam3, n)) for n in (4, 5)
+                }
+                payload["criteria"]["ball"] = {
+                    str(n): bool(ntsp_sufficient_ball(lam3, n)) for n in (2, 3, 4)
+                }
+    except FloatingPointError as exc:
+        source = "--map" if args.map else "--lambda"
+        raise ValueError(f"{source} values overflow the closed-form criteria ({exc})") from None
     return payload
 
 
 def _cmd_region(args, summary_only: bool = False):
     cfg = OracleConfig(restarts=8, sample_count=256, seed=args.seed)
     params = {"t": args.t} if args.t is not None else None
+    if params and "t" not in region_params(args.criterion):
+        raise _UsageError(f"--t does not apply to --criterion {args.criterion}")
     rep = region_scan(args.criterion, steps=args.grid, params=params, cfg=cfg)
     if summary_only:
         return {"criterion": rep.criterion, "params": rep.params, "summary": rep.summary}
@@ -200,7 +208,11 @@ def _cmd_reduce(args) -> dict:
 
 
 def _cmd_witness(args) -> dict:
-    res = threshold_search(args.family, args.n, WitnessScanConfig(steps=args.steps))
+    try:
+        cfg = WitnessScanConfig(steps=args.steps)
+    except ValueError as exc:
+        raise _UsageError(f"bad --steps: {exc}") from None
+    res = threshold_search(args.family, args.n, cfg)
     return {
         "family": args.family,
         "n": args.n,

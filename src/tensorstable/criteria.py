@@ -21,6 +21,7 @@ __all__ = [
     "as_lambda_point",
     "depolarizing_pair_positive",
     "hyperboloid_point",
+    "hyperboloid_slacks",
     "is_2tsp",
     "is_3tsp",
     "lift_ntsp",
@@ -68,14 +69,19 @@ def is_2tsp(lam: LambdaPoint) -> CriterionVerdict:
     Satisfied iff ``1 + l_i^2 >= l_j^2 + l_k^2`` for every axis ``i``.
     Requires ``|l_k| <= 1`` (map positivity) to be meaningful.
     """
-    l1, l2, l3 = as_lambda_point(lam)
-    a, b, c = l1 * l1, l2 * l2, l3 * l3
-    slacks = {
-        "1+l1^2>=l2^2+l3^2": (1.0 + a) - (b + c),
-        "1+l2^2>=l1^2+l3^2": (1.0 + b) - (a + c),
-        "1+l3^2>=l1^2+l2^2": (1.0 + c) - (a + b),
-    }
-    return _verdict(slacks)
+    s1, s2, s3 = hyperboloid_slacks(as_lambda_point(lam))
+    return _verdict({"1+l1^2>=l2^2+l3^2": s1, "1+l2^2>=l1^2+l3^2": s2, "1+l3^2>=l1^2+l2^2": s3})
+
+
+# The axes j, k other than i, for i = 1, 2, 3 (zero-based).
+_J, _K = np.array([1, 0, 0]), np.array([2, 2, 1])
+
+
+def hyperboloid_slacks(lams: np.ndarray) -> np.ndarray:
+    """The slacks ``(1 + l_i^2) - (l_j^2 + l_k^2)``, ``i = 1, 2, 3``, of
+    :func:`is_2tsp` along the last axis of a ``(..., 3)`` stack."""
+    sq = lams * lams
+    return (1.0 + sq) - (sq.take(_J, axis=-1) + sq.take(_K, axis=-1))
 
 
 def squared_map_choi(lam: LambdaPoint) -> HermitianOperator:
@@ -104,16 +110,9 @@ def squared_map_choi_eigs(lam: LambdaPoint) -> np.ndarray:
     over 4 plus one always-positive value, so the PSD verdict matches
     :func:`is_2tsp` exactly (same float expressions, no tolerance).
     """
-    l1, l2, l3 = as_lambda_point(lam)
-    a, b, c = l1 * l1, l2 * l2, l3 * l3
-    eigs = np.array(
-        [
-            ((1.0 + a) - (b + c)) / 4.0,
-            ((1.0 + b) - (a + c)) / 4.0,
-            ((1.0 + c) - (a + b)) / 4.0,
-            ((1.0 + c) + (a + b)) / 4.0,
-        ]
-    )
+    p = as_lambda_point(lam)
+    a, b, c = p * p
+    eigs = np.concatenate([hyperboloid_slacks(p), [(1.0 + c) + (a + b)]]) / 4.0
     eigs.sort()
     return eigs
 
@@ -230,14 +229,16 @@ def depolarizing_pair_positive(q1: float, q2: float) -> bool:
     return bool(abs(q1) <= 1.0 and abs(q2) <= 1.0 and q1 * q2 >= -1.0 / 3.0)
 
 
-def hyperboloid_point(x: float, y: float) -> np.ndarray:
+def hyperboloid_point(x: float | np.ndarray, y: float | np.ndarray) -> np.ndarray:
     """Boundary point of the 2-tensor-stable region from ruling parameters.
 
     ``l1 = (x+y)/(1+xy)``, ``l2 = (x-y)/(1+xy)``, ``l3 = (1-xy)/(1+xy)``
     for ``x, y`` in ``[0, 1]``; exactly one hyperboloid inequality is tight
-    (the middle one, identically).
+    (the middle one, identically).  Array ``x, y`` broadcast, with the point
+    along a new last axis.
     """
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all((0.0 <= x) & (x <= 1.0)) and np.all((0.0 <= y) & (y <= 1.0))):
         raise ValueError(f"x and y must lie in [0, 1], got ({x}, {y})")
     den = 1.0 + x * y
-    return np.array([(x + y) / den, (x - y) / den, (1.0 - x * y) / den])
+    return np.stack([(x + y) / den, (x - y) / den, (1.0 - x * y) / den], axis=-1)

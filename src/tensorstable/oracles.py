@@ -58,6 +58,7 @@ __all__ = [
     "ex2_family",
     "min_output_eig",
     "region_criteria",
+    "region_params",
     "region_scan",
     "symmetric_linspace",
 ]
@@ -432,6 +433,11 @@ def region_criteria() -> tuple[str, ...]:
     return tuple(sorted(_REGION_CRITERIA))
 
 
+def region_params(criterion: str) -> dict:
+    """The parameters :func:`region_scan` reads for a criterion, with their defaults."""
+    return dict(_REGION_CRITERIA[criterion].params)
+
+
 @dataclass(frozen=True)
 class RegionScanReport:
     """Grid of parameter points with analytic verdicts and oracle values."""
@@ -497,7 +503,10 @@ def region_scan(
         )
     crit = _REGION_CRITERIA[criterion]
     cfg = cfg or OracleConfig(restarts=8, sample_count=256)
-    merged = dict(crit.params)
+    merged = region_params(criterion)
+    unread = sorted(set(params or {}) - set(merged))
+    if unread:
+        raise ValueError(f"{criterion} takes no parameter {', '.join(unread)}")
     merged.update(params or {})
     if steps is None:
         steps = crit.default_steps

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import as_lambda_point, is_2tsp, is_3tsp
+from .criteria import as_lambda_point, hyperboloid_point, hyperboloid_slacks, is_3tsp
 from .linalg import SIGMA, HermitianOperator, kron_all, symmetric_linspace
 from .maps import _power_min_eigs
 
@@ -90,6 +90,10 @@ class WitnessScanConfig:
 
     steps: int = 21
     shrink: float = 1e-9
+
+    def __post_init__(self):
+        if self.steps < 2:
+            raise ValueError(f"steps must be >= 2, got {self.steps}")
 
 
 def _pure_projector(psi: np.ndarray, n: int) -> HermitianOperator:
@@ -172,13 +176,13 @@ def ghz_variants(n: int = 3) -> list[MultiQubitState]:
     return out
 
 
-def _certified(lam: np.ndarray, n: int) -> bool:
+def _certified(lams: np.ndarray, n: int) -> np.ndarray:
     if n == 1:
-        return bool(np.max(np.abs(lam)) <= 1.0)
+        return np.max(np.abs(lams), axis=1) <= 1.0
     if n == 2:
-        return is_2tsp(lam).satisfied
+        return np.min(hyperboloid_slacks(lams), axis=1) >= 0
     if n == 3:
-        return is_3tsp(lam).satisfied
+        return np.array([is_3tsp(p).satisfied for p in lams], dtype=bool)
     raise ValueError("certification is available for n in {1, 2, 3}")
 
 
@@ -190,7 +194,7 @@ def depth_witness(state: MultiQubitState, lam, n: int) -> DepthVerdict:
     The map must pass the strongest closed-form certificate for ``n``.
     """
     lam = as_lambda_point(lam)
-    if not _certified(lam, n):
+    if not _certified(lam[None], n)[0]:
         raise ValueError("witness map not certified n-TSP")
     neg = _power_min_eigs(np.insert(lam, 0, 1.0)[None], state.rho.matrix)[0]
     bound = n + 1 if neg < -NEGATIVITY_TOL else 1
@@ -199,38 +203,28 @@ def depth_witness(state: MultiQubitState, lam, n: int) -> DepthVerdict:
 
 def _scan_maps_n1(cfg: WitnessScanConfig) -> np.ndarray:
     grid = symmetric_linspace(-1.0, 1.0, cfg.steps)
-    pts = []
-    for axis in range(3):
-        for sign in (-1.0, 1.0):
-            for a in grid:
-                for b in grid:
-                    lam = np.empty(3)
-                    lam[axis] = sign
-                    lam[(axis + 1) % 3] = a
-                    lam[(axis + 2) % 3] = b
-                    pts.append(lam)
-    return _dedupe(np.array(pts))
+    face = np.stack(np.meshgrid([-1.0, 1.0], grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    # Cube faces in (axis, sign, a, b) order: roll[axis, j] is the column of
+    # (sign, a, b) that lands on axis j.
+    roll = (np.arange(3) - np.arange(3)[:, None]) % 3
+    return _dedupe(face[:, roll].transpose(1, 0, 2).reshape(-1, 3))
 
 
 def _scan_maps_n2(cfg: WitnessScanConfig) -> np.ndarray:
-    from .criteria import hyperboloid_point
-
     grid = np.linspace(0.0, 1.0, cfg.steps)
-    transforms = variant_transforms()
-    pts = []
-    for x in grid:
-        for y in grid:
-            base = hyperboloid_point(x, y)
-            for t in transforms:
-                pts.append((t @ base) * (1.0 - cfg.shrink))
-    return _dedupe(np.array(pts))
+    base = hyperboloid_point(*np.meshgrid(grid, grid, indexing="ij")).reshape(-1, 3)
+    pts = np.einsum("tij,pj->pti", np.array(variant_transforms()), base)
+    return _dedupe(pts.reshape(-1, 3) * (1.0 - cfg.shrink))
 
 
 def _dedupe(pts: np.ndarray) -> np.ndarray:
-    seen = {}
-    for p in pts:
-        seen[tuple(np.round(p, 12))] = p
-    return np.array(list(seen.values()))
+    """Rows unique up to rounding at 1e-12 (``-0.0`` equal to ``0.0``), in order of
+    first occurrence, each holding the value of its last occurrence."""
+    key = np.round(pts, 12) + 0.0
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    last = np.zeros(len(first), dtype=int)
+    np.maximum.at(last, inverse.reshape(-1), np.arange(len(pts)))
+    return pts[last[np.argsort(first)]]
 
 
 def threshold_search(
@@ -262,7 +256,7 @@ def threshold_search(
     cfg = scan_cfg or WitnessScanConfig()
 
     lams = _scan_maps_n1(cfg) if n == 1 else _scan_maps_n2(cfg)
-    lams = lams[[_certified(p, n) for p in lams]]
+    lams = lams[_certified(lams, n)]
     m_min = _power_min_eigs(np.insert(lams, 0, 1.0, axis=1), np.outer(psi, psi.conj()))
     best = int(np.argmin(m_min))
     m = float(m_min[best])

@@ -109,6 +109,12 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--lambda", "1e300,1e300,1e300")
         assert code in (1, 2) and out == ""
 
+    @pytest.mark.parametrize("lam", ["1e300,1e300,1e300", "1e-310,1,1,1"])
+    def test_overflow_is_a_domain_error_naming_the_input(self, capsys, lam):
+        code, out, err = run(capsys, "classify", "--lambda", lam)
+        assert code == 2 and out == ""
+        assert err.startswith("domain error: --lambda") and err.count("\n") == 1
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(
@@ -163,6 +169,13 @@ class TestRegion:
     def test_unknown_criterion_is_usage_error(self, capsys):
         code, _, err = run(capsys, "region", "--criterion", "nope")
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["region", "verify"])
+    @pytest.mark.parametrize("criterion", ["depolarizing", "2tsp", "3tsp"])
+    def test_t_without_a_family_parameter_is_usage_error(self, capsys, command, criterion):
+        code, out, err = run(capsys, command, "--criterion", criterion, "--grid", "3", "--t", "0.5")
+        assert code == 1 and out == ""
+        assert "--t" in err
 
     def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("TSP_SEED", "abc")
@@ -244,6 +257,12 @@ class TestWitness:
         code, _, _ = run(capsys, "witness", "--family", "ghz", "--n", "5")
         assert code == 1
 
+    @pytest.mark.parametrize("steps", ["1", "0", "-3"])
+    def test_steps_below_two_are_usage_errors(self, capsys, steps):
+        code, out, err = run(capsys, "witness", "--family", "ghz", "--n", "2", "--steps", steps)
+        assert code == 1 and out == ""
+        assert "--steps" in err
+
 
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
@@ -257,7 +276,7 @@ class TestFuzz:
     BAD_INTS = ["-1", "0", "abc", "", "nan", "inf"]
 
     def options(self, maps):
-        lam = ["0.5,0.5,0.5", "1,0.7,0,0.7", "0.3,-0.5,0.7", "0,0,0", "1e300,1e300,1e300"]
+        lam = ["0.5,0.5,0.5", "1,0.7,0,0.7", "0.3,-0.5,0.7", "0,0,0", "1e300,1e300,1e300", "1e-310,1,1,1"]
         scan = {
             "--criterion": (list(region_criteria()), ["nope", ""]),
             "--grid": (["1", "2", "3"], self.BAD_INTS),

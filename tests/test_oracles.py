@@ -183,6 +183,11 @@ class TestRegionScan:
         with pytest.raises(ValueError, match="unknown criterion"):
             region_scan("nope", steps=3)
 
+    @pytest.mark.parametrize("criterion", ["depolarizing", "2tsp", "3tsp"])
+    def test_undeclared_parameter_is_rejected(self, criterion):
+        with pytest.raises(ValueError, match="takes no parameter t"):
+            region_scan(criterion, steps=3, params={"t": 0.5}, cfg=FAST)
+
     def test_wrong_number_of_step_counts(self):
         with pytest.raises(ValueError, match="needs 3 step counts"):
             region_scan("2tsp", steps=(3, 3), cfg=FAST)

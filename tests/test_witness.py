@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tensorstable.criteria import hyperboloid_point, is_2tsp
-from tensorstable.linalg import HermitianOperator, kron, partial_trace
+from tensorstable.criteria import hyperboloid_point, is_2tsp, is_3tsp
+from tensorstable.linalg import HermitianOperator, kron, partial_trace, symmetric_linspace
 from tensorstable.maps import PauliMap, tensor_apply
 from tensorstable.witness import (
     NEGATIVITY_TOL,
     MultiQubitState,
     WitnessScanConfig,
+    _certified,
+    _dedupe,
+    _scan_maps_n1,
+    _scan_maps_n2,
     build_state,
     depth_witness,
     ghz_variants,
@@ -157,6 +161,13 @@ class TestThresholdSearch:
         v = depth_witness(state, res.witness, n=2)
         assert v.lower_bound == 3
 
+    STEPS_21_Q_STAR = {
+        ("ghz", 1): 0.25000000199999994,
+        ("ghz", 2): 0.7077275838855227,
+        ("w", 1): 0.30216948166931806,
+        ("w", 2): 0.8520305047755674,
+    }
+
     # The steps=21 scans' witnesses; the n = 2 maps are hyperboloid points
     # (21/29, 20/29, 0) up to axis order and sign, pulled inside by 1e-9.
     @pytest.mark.parametrize(
@@ -172,6 +183,7 @@ class TestThresholdSearch:
         res = threshold_search(family, n, WitnessScanConfig(steps=21))
         shrink = 1.0 if n == 1 else 1.0 - 1e-9
         assert_allclose(res.witness, np.array(witness) * shrink, rtol=0, atol=1e-15)
+        assert res.q_star == self.STEPS_21_Q_STAR[family, n]
         assert res.q_star == (1 / 8 + NEGATIVITY_TOL) / (1 / 8 - res.neg_eig)
         kind = "ghz" if family == "ghz" else "w3"
         above = depth_witness(build_state(kind, res.q_star * (1 + 1e-6)), res.witness, n)
@@ -199,3 +211,83 @@ class TestThresholdSearch:
         assert res.q_star == 1.0
         assert res.witness is None
         assert res.neg_eig >= -NEGATIVITY_TOL
+
+    @pytest.mark.parametrize("steps", [1, 0, -3])
+    def test_config_rejects_fewer_than_two_steps(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            WitnessScanConfig(steps=steps)
+
+
+# Loop versions of the scan builders: the reference the array builders must
+# reproduce byte for byte.
+def _dedupe_loop(pts):
+    seen = {}
+    for p in pts:
+        seen[tuple(np.round(p, 12))] = p
+    return np.array(list(seen.values()))
+
+
+def _scan_maps_n1_loop(cfg):
+    grid = symmetric_linspace(-1.0, 1.0, cfg.steps)
+    pts = []
+    for axis in range(3):
+        for sign in (-1.0, 1.0):
+            for a in grid:
+                for b in grid:
+                    lam = np.empty(3)
+                    lam[axis] = sign
+                    lam[(axis + 1) % 3] = a
+                    lam[(axis + 2) % 3] = b
+                    pts.append(lam)
+    return _dedupe_loop(np.array(pts))
+
+
+def _scan_maps_n2_loop(cfg):
+    grid = np.linspace(0.0, 1.0, cfg.steps)
+    transforms = variant_transforms()
+    pts = []
+    for x in grid:
+        for y in grid:
+            base = hyperboloid_point(x, y)
+            for t in transforms:
+                pts.append((t @ base) * (1.0 - cfg.shrink))
+    return _dedupe_loop(np.array(pts))
+
+
+class TestScanArrays:
+    CONFIGS = [WitnessScanConfig(steps=k) for k in (2, 5, 11, 21)] + [
+        WitnessScanConfig(steps=7, shrink=0.25)
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    @pytest.mark.parametrize(
+        "build, reference",
+        [(_scan_maps_n1, _scan_maps_n1_loop), (_scan_maps_n2, _scan_maps_n2_loop)],
+    )
+    def test_builders_equal_loops_bytewise(self, cfg, build, reference):
+        got, want = build(cfg), reference(cfg)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_dedupe_keeps_first_position_and_last_value(self):
+        pts = np.array(
+            [[0.0, 1.0, 2.0], [0.5, 0.5, 0.5], [-0.0, 1.0, 2.0 + 1e-14], [0.5, 0.5, 0.5 - 1e-15]]
+        )
+        got = _dedupe(pts)
+        assert got.tobytes() == _dedupe_loop(pts).tobytes()
+        assert got.tobytes() == pts[[2, 3]].tobytes()
+
+    def test_certified_matches_per_row_criteria(self):
+        x = hyperboloid_point(0.3, 0.7)  # the middle slack is exactly 0
+        stack = np.concatenate(
+            [
+                RNG.uniform(-1.0, 1.0, (400, 3)),
+                [x, -x, x[[1, 0, 2]], x[[2, 1, 0]], x * (1 + 1e-9), x * (1 - 1e-9)],
+                [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, -0.0], [-0.0, 0.0, -0.0]],
+                [[-1.0, -0.0, 1.0], [1.0, 1.0 + 1e-15, 0.0], [0.6, 0.8, 0.0], [1.0, 0.0, -1.0]],
+            ]
+        )
+        assert _certified(stack, 1).tolist() == [bool(np.abs(p).max() <= 1.0) for p in stack]
+        assert _certified(stack, 2).tolist() == [bool(is_2tsp(p).satisfied) for p in stack]
+        assert _certified(stack, 3).tolist() == [bool(is_3tsp(p).satisfied) for p in stack]
+        assert _certified(stack, 2).any() and not _certified(stack, 2).all()
