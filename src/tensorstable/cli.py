@@ -9,6 +9,7 @@ overrides.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,15 +25,16 @@ from .criteria import (
     ntsp_sufficient_ball,
 )
 from .linalg import ConvergenceError
-from .maps import GeneralQubitMap, PauliMap, classify, map_from_json
+from .maps import PauliMap, classify, map_from_json
 from .nonunital import (
+    BOUNDARY_TOL,
     NonUnitalFamilyMap,
     classify_nonunital_positive,
     ghz_output_conditions,
     is_2tsp_nonunital,
     reduce_to_unital,
 )
-from .oracles import OracleConfig, region_criteria, region_params, region_scan
+from .oracles import REGION_SCAN_CONFIG, region_criteria, region_params, region_scan
 from .witness import WitnessScanConfig, threshold_search
 
 __all__ = ["main"]
@@ -49,22 +51,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
-
-
 def _write(text: str, args) -> None:
     if args.out:
         try:
@@ -76,8 +62,15 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _numpy_scalar(obj):
+    # np.float64 subclasses float and encodes as one; the other numpy scalars do not.
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit(payload, args) -> None:
-    _write(json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n", args)
+    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_numpy_scalar) + "\n", args)
 
 
 def _finite_float(text: str) -> float:
@@ -113,13 +106,15 @@ def _verdict_dict(v) -> dict:
 
 
 def _cmd_classify(args) -> dict:
-    if args.map:
+    if args.map is not None:
+        if args.t is not None:
+            raise _UsageError("--t applies to --lambda only; a --map file gives its own translation")
         try:
             with open(args.map) as fh:
                 m = map_from_json(fh.read())
         except (OSError, ValueError) as exc:
             raise _UsageError(f"bad --map file: {exc}") from None
-    elif args.lam is not None:
+    else:
         lam = _parse_lambda(args.lam)
         if args.t is not None:
             if lam[0] != 1.0:
@@ -127,8 +122,6 @@ def _cmd_classify(args) -> dict:
             m = NonUnitalFamilyMap(t=args.t, lam3=lam[1:]).to_general()
         else:
             m = PauliMap(lam)
-    else:
-        raise ValueError("classify needs --lambda or --map")
 
     rep = classify(m)
     payload = {
@@ -145,21 +138,20 @@ def _cmd_classify(args) -> dict:
         },
         "criteria": {},
     }
+    # The closed forms that apply follow from the family classify recognised.
+    e = np.asarray(m.matrix)
+    if rep.positivity_method != "pauli-closed-form":
+        payload["map"]["t"] = [float(v) for v in e[1:, 0]]
     # Finite inputs can still overflow the criteria's powers to inf/nan slacks.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            e = np.asarray(m.matrix)
-            translation = np.array([e[1, 0], e[2, 0], e[3, 0]])
-            if np.any(translation != 0.0) or (isinstance(m, GeneralQubitMap) and not m.is_diagonal()):
-                payload["map"]["t"] = [float(v) for v in translation]
-                # closed forms exist for a translation along the third axis only
-                if translation[0] == translation[1] == 0.0 and np.count_nonzero(e - np.diag(np.diag(e))) <= 1:
-                    fam = NonUnitalFamilyMap(t=float(translation[2]), lam3=tuple(np.diag(e)[1:]))
-                    payload["criteria"]["positive_family"] = _verdict_dict(classify_nonunital_positive(fam))
-                    payload["criteria"]["ghz_output"] = _verdict_dict(ghz_output_conditions(fam))
-                    if fam.interior_gap() > 1e-12:
-                        payload["criteria"]["2tsp"] = _verdict_dict(is_2tsp_nonunital(fam))
-            else:
+            if rep.positivity_method == "nonunital-closed-form":
+                fam = NonUnitalFamilyMap(t=float(e[3, 0]), lam3=tuple(np.diag(e)[1:]))
+                payload["criteria"]["positive_family"] = _verdict_dict(classify_nonunital_positive(fam))
+                payload["criteria"]["ghz_output"] = _verdict_dict(ghz_output_conditions(fam))
+                if fam.interior_gap() > BOUNDARY_TOL:
+                    payload["criteria"]["2tsp"] = _verdict_dict(is_2tsp_nonunital(fam))
+            elif rep.positivity_method == "pauli-closed-form":
                 lam3 = np.diag(e)[1:] / e[0, 0] if e[0, 0] != 0 else np.diag(e)[1:]
                 payload["criteria"]["2tsp"] = _verdict_dict(is_2tsp(lam3))
                 payload["criteria"]["3tsp"] = _verdict_dict(is_3tsp(lam3))
@@ -176,7 +168,7 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_region(args, summary_only: bool = False):
-    cfg = OracleConfig(restarts=8, sample_count=256, seed=args.seed)
+    cfg = dataclasses.replace(REGION_SCAN_CONFIG, seed=args.seed)
     params = {"t": args.t} if args.t is not None else None
     if params and "t" not in region_params(args.criterion):
         raise _UsageError(f"--t does not apply to --criterion {args.criterion}")
@@ -237,9 +229,10 @@ def _build_parser() -> _Parser:
         common(p)
 
     p = sub.add_parser("classify", help="classify a qubit map and run all criteria")
-    p.add_argument("--lambda", dest="lam", help="l0,l1,l2,l3 or l1,l2,l3 (l0=1 assumed)")
-    p.add_argument("--t", type=_finite_float, help="translation along the third axis")
-    p.add_argument("--map", help="path to a map JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lambda", dest="lam", help="l0,l1,l2,l3 or l1,l2,l3 (l0=1 assumed)")
+    source.add_argument("--map", help="path to a map JSON file")
+    p.add_argument("--t", type=_finite_float, help="translation along the third axis (with --lambda)")
     common(p)
 
     p = sub.add_parser("region", help="grid scan of a criterion against its oracle")

@@ -178,10 +178,13 @@ def ntsp_sufficient_ball(lam: LambdaPoint, n: int) -> bool:
 
 
 def lift_x_max(lam: LambdaPoint, n: int) -> float:
-    """Largest admissible mixing parameter in :func:`lift_ntsp`."""
+    """Largest admissible mixing parameter in :func:`lift_ntsp`.  Points outside
+    the Bloch cube are not positive, so not n-stable for any ``n``: they raise."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     p = np.abs(as_lambda_point(lam))
+    if p.max() > 1.0:
+        raise ValueError(f"lift requires a positive map, max |lambda_i| <= 1, got {p.max()}")
     total = float(p.sum())
     if total < 1.0:
         raise ValueError("lift requires sum |lambda_i| >= 1")
@@ -195,18 +198,16 @@ def lift_ntsp(lam: LambdaPoint, n: int, x: float | None = None) -> np.ndarray:
     Returns ``l~_i = ((|l1|+|l2|+|l3|)^-1 + x) / (1 + x) * l_i``; by the
     recurrence with an entanglement-breaking admixture, the output is
     ``(n+1)``-tensor-stable whenever the input is ``n``-tensor-stable.
-    ``x`` defaults to the largest admissible value.
+    ``x`` defaults to the largest admissible value.  Raises ``ValueError``
+    outside the Bloch cube and when ``|l1|+|l2|+|l3| < 1``.
     """
     p = as_lambda_point(lam)
-    total = float(np.abs(p).sum())
-    if total < 1.0:
-        raise ValueError("lift requires sum |lambda_i| >= 1")
     xm = lift_x_max(p, n)
     if x is None:
         x = xm
     if not 0.0 <= x <= xm:
         raise ValueError(f"x must lie in [0, {xm}], got {x}")
-    return (1.0 / total + x) / (1.0 + x) * p
+    return (1.0 / float(np.abs(p).sum()) + x) / (1.0 + x) * p
 
 
 def mu_bound(min_eig_phi: float, min_eig_eb: float, n: int) -> float:

@@ -147,9 +147,6 @@ class PauliMap:
             out += qj * (s @ x @ s)
         return out
 
-    def adjoint(self) -> "PauliMap":
-        return self  # diagonal real E is self-adjoint
-
     def superop(self) -> np.ndarray:
         return _superop_from_matrix(self.matrix)
 
@@ -164,10 +161,6 @@ class GeneralQubitMap:
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 real matrix, got shape {m.shape}")
         self.matrix = m.copy()
-
-    @classmethod
-    def from_pauli(cls, m: PauliMap) -> "GeneralQubitMap":
-        return cls(m.matrix)
 
     @classmethod
     def from_translation(cls, t: Sequence[float], lam3: Sequence[float]) -> "GeneralQubitMap":
@@ -193,15 +186,11 @@ class GeneralQubitMap:
     def apply(self, x) -> np.ndarray:
         return _pauli_product([self.matrix], _check_2x2(x))
 
-    def adjoint(self) -> "GeneralQubitMap":
-        return GeneralQubitMap(self.matrix.T)
-
     def superop(self) -> np.ndarray:
         return _superop_from_matrix(self.matrix)
 
-    def is_diagonal(self, tol: float = 0.0) -> bool:
-        off = self.matrix - np.diag(np.diag(self.matrix))
-        return bool(np.abs(off).max() <= tol)
+    def is_diagonal(self) -> bool:
+        return not np.any(self.matrix - np.diag(np.diag(self.matrix)))
 
     def __repr__(self) -> str:
         return f"GeneralQubitMap(lam3={self.lam3}, t={self.translation})"
@@ -397,7 +386,7 @@ _E30 = np.zeros((4, 4))
 _E30[3, 0] = 1.0
 
 
-def classify(m, oracle_cfg=None) -> ClassificationReport:
+def classify(m) -> ClassificationReport:
     """Classify a qubit map (unital / TP / positive / CP / CcP / EB).
 
     Pauli maps use the closed-form parameter conditions.  General maps fall
@@ -407,8 +396,9 @@ def classify(m, oracle_cfg=None) -> ClassificationReport:
     """
     atol = 1e-12
     e = np.asarray(m.matrix, dtype=float)
-    unital = bool(np.allclose(e[:, 0], [1, 0, 0, 0], atol=atol))
-    tp = bool(np.allclose(e[0, :], [1, 0, 0, 0], atol=atol))
+    # rtol=0: the default relative tolerance (1e-5) would swamp atol at the 1.
+    unital = bool(np.allclose(e[:, 0], [1, 0, 0, 0], rtol=0, atol=atol))
+    tp = bool(np.allclose(e[0, :], [1, 0, 0, 0], rtol=0, atol=atol))
     margins: dict = {}
 
     if isinstance(m, PauliMap) or (isinstance(m, GeneralQubitMap) and m.is_diagonal() and unital):
@@ -461,8 +451,7 @@ def classify(m, oracle_cfg=None) -> ClassificationReport:
     else:
         from .oracles import OracleConfig, block_positivity_min
 
-        cfg = oracle_cfg if oracle_cfg is not None else OracleConfig(restarts=16)
-        value = block_positivity_min(omega, cut=(0,), cfg=cfg)
+        value = block_positivity_min(omega, cut=(0,), cfg=OracleConfig(restarts=16))
         positive = value >= -PSD_CONFIRM_TOL
         margins["positivity"] = float(value)
         method = "numeric-block-positivity"

@@ -53,14 +53,10 @@ class NonUnitalFamilyMap:
 
     @property
     def matrix(self) -> np.ndarray:
-        e = np.zeros((4, 4))
-        e[0, 0] = 1.0
-        e[3, 0] = self.t
-        e[1, 1], e[2, 2], e[3, 3] = self.lam3
-        return e
+        return self.to_general().matrix
 
     def to_general(self) -> GeneralQubitMap:
-        return GeneralQubitMap(self.matrix)
+        return GeneralQubitMap.from_translation((0.0, 0.0, self.t), self.lam3)
 
     def interior_gap(self) -> float:
         """Slack of the strict positivity-cone condition ``1 - |t| - |l3|``."""

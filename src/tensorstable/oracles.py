@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .criteria import depolarizing_pair_positive, is_2tsp, is_3tsp
+from .criteria import CriterionVerdict, depolarizing_pair_positive, is_2tsp, is_3tsp
 from .linalg import (
     PSD_CONFIRM_TOL,
     PSD_REFUTE_TOL,
@@ -41,6 +41,7 @@ from .maps import (
     tensor_apply,
 )
 from .nonunital import (
+    BOUNDARY_TOL,
     NonUnitalFamilyMap,
     classify_nonunital_positive,
     ghz_output_conditions,
@@ -51,6 +52,7 @@ from .nonunital import (
 __all__ = [
     "DecomposabilityReport",
     "OracleConfig",
+    "REGION_SCAN_CONFIG",
     "RegionScanReport",
     "SeeSawResult",
     "block_positivity_min",
@@ -79,6 +81,10 @@ class OracleConfig:
             raise ValueError("counts must be >= 1")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be > 0")
+
+
+# Oracle budget of a region scan, per grid point; callers replace only the seed.
+REGION_SCAN_CONFIG = OracleConfig(restarts=8, sample_count=256)
 
 
 @dataclass(frozen=True)
@@ -273,6 +279,16 @@ ANALYTIC_BAND = 1e-9
 
 
 def _flag(analytic: bool, slack: float, value: float) -> str:
+    """``agree``/``disagree``/``marginal`` for one point of a region scan.
+
+    The oracle bands are absolute, not scaled by the spectral radius as in
+    ``psd_verdict``: a see-saw value's operator spectrum is never computed.
+    On the default grids the evaluated operators have radius 1 (+9e-16) for
+    depolarizing, 2tsp and 3tsp, where both bands coincide, but up to 1.039,
+    1.300 and 1.050 for nonunital-positive, -ghz and -2tsp at t = 0.8.  There
+    the absolute band is narrower, so it can only turn a confirmation into
+    ``marginal``; no oracle value on those grids lies in [-1.3e-9, -1e-9).
+    """
     if not np.isfinite(value):
         return "marginal"
     if value >= -PSD_CONFIRM_TOL:
@@ -288,36 +304,30 @@ def _flag(analytic: bool, slack: float, value: float) -> str:
 
 @dataclass(frozen=True)
 class RegionCriterion:
-    """A named analytic predicate paired with its numerical oracle."""
+    """An analytic predicate paired with its numerical oracle, over the Bloch
+    cube unless given other axes.  Both are called with the criterion's
+    ``params`` as keywords: ``analytic(pt, **params)`` returns a verdict with
+    ``satisfied`` and ``worst_slack``, ``oracle(pt, cfg, **params)`` a value."""
 
-    name: str
-    axes: tuple[str, ...]
-    bounds: tuple[tuple[float, float], ...]
-    default_steps: int
-    analytic: Callable[[np.ndarray, dict], tuple[bool, float]]
-    oracle: Callable[[np.ndarray, dict, OracleConfig], float]
+    analytic: Callable[..., CriterionVerdict]
+    oracle: Callable[..., float]
     params: tuple[tuple[str, float], ...] = ()
+    axes: tuple[str, ...] = ("l1", "l2", "l3")
+    bounds: tuple[tuple[float, float], ...] = ((-1.0, 1.0),) * 3
+    default_steps: int = 21
 
 
-def _verdict_analytic(make_verdict):
-    def wrapped(pt, params):
-        v = make_verdict(pt, params)
-        return v.satisfied, v.worst_slack
-
-    return wrapped
-
-
-def _depol_analytic(pt, params):
+def _depol_analytic(pt):
     q1, q2 = pt
     slack = min(q1 * q2 + 1.0 / 3.0, 1.0 - abs(q1), 1.0 - abs(q2))
-    return depolarizing_pair_positive(q1, q2), float(slack)
+    return CriterionVerdict(depolarizing_pair_positive(q1, q2), float(slack), "q1*q2>=-1/3,|q1|<=1,|q2|<=1")
 
 
-def _depol_oracle(pt, params, cfg):
+def _depol_oracle(pt, cfg):
     return min_output_eig([PauliMap.depolarizing(pt[0]), PauliMap.depolarizing(pt[1])], cfg)
 
 
-def _2tsp_oracle(pt, params, cfg):
+def _2tsp_oracle(pt, cfg):
     m = PauliMap.unital(pt)
     return block_positivity_min(choi([m, m]), cut=(0, 2), cfg=cfg)
 
@@ -330,36 +340,31 @@ _GHZ3 = np.zeros((8, 8))
 _GHZ3[0, 0] = _GHZ3[0, 7] = _GHZ3[7, 0] = _GHZ3[7, 7] = 0.5
 
 
-def _3tsp_oracle(pt, params, cfg):
+def _3tsp_oracle(pt, cfg):
     """Smallest output eigenvalue of the three-fold map over the GHZ variants:
     the three-fold power of all six axis orderings applied to the plain projector."""
     return float(_power_min_eigs(np.concatenate([[1.0], pt])[_AXIS_ORDERS], _GHZ3).min())
 
 
-def _nonunital(pt, params) -> NonUnitalFamilyMap:
-    return NonUnitalFamilyMap(t=params["t"], lam3=tuple(pt))
+def _nonunital_positive_oracle(pt, cfg, t):
+    return block_positivity_min(choi(NonUnitalFamilyMap(t, pt).to_general()), cut=(0,), cfg=cfg)
 
 
-def _nonunital_positive_oracle(pt, params, cfg):
-    return block_positivity_min(choi(_nonunital(pt, params).to_general()), cut=(0,), cfg=cfg)
-
-
-def _nonunital_ghz_oracle(pt, params, cfg):
-    g = _nonunital(pt, params).to_general()
+def _nonunital_ghz_oracle(pt, cfg, t):
+    g = NonUnitalFamilyMap(t, pt).to_general()
     return tensor_apply([g, g], max_entangled_projector(2)).min_eig()
 
 
-def _nonunital_2tsp_analytic(pt, params):
-    m = _nonunital(pt, params)
-    if m.interior_gap() <= 1e-12:
-        return False, float("nan")
-    v = is_2tsp_nonunital(m)
-    return v.satisfied, v.worst_slack
+def _nonunital_2tsp_analytic(pt, t):
+    m = NonUnitalFamilyMap(t, pt)
+    if m.interior_gap() <= BOUNDARY_TOL:
+        return CriterionVerdict(satisfied=False, worst_slack=float("nan"), binding_constraint="1-|t|-|l3|>0")
+    return is_2tsp_nonunital(m)
 
 
-def _nonunital_2tsp_oracle(pt, params, cfg):
-    m = _nonunital(pt, params)
-    if m.interior_gap() <= 1e-12:
+def _nonunital_2tsp_oracle(pt, cfg, t):
+    m = NonUnitalFamilyMap(t, pt)
+    if m.interior_gap() <= BOUNDARY_TOL:
         return float("nan")  # criterion undefined; row is flagged marginal
     rr = reduce_to_unital(m)
     psi = np.zeros(4, dtype=np.complex128)
@@ -371,60 +376,24 @@ def _nonunital_2tsp_oracle(pt, params, cfg):
     return tensor_apply([g, g], rho).min_eig()
 
 
-_CUBE3 = (("l1", "l2", "l3"), (((-1.0, 1.0),) * 3))
+_FAMILY_T = (("t", 0.8),)
 
+# Lambdas resolve the criteria's module bindings per call, so span tracing sees those calls.
 _REGION_CRITERIA = {
     "depolarizing": RegionCriterion(
-        name="depolarizing",
-        axes=("q1", "q2"),
-        bounds=((-1.0, 1.0), (-1.0, 1.0)),
-        default_steps=41,
-        analytic=_depol_analytic,
-        oracle=_depol_oracle,
+        _depol_analytic, _depol_oracle, axes=("q1", "q2"), bounds=((-1.0, 1.0),) * 2, default_steps=41
     ),
-    "2tsp": RegionCriterion(
-        name="2tsp",
-        axes=_CUBE3[0],
-        bounds=_CUBE3[1],
-        default_steps=21,
-        analytic=_verdict_analytic(lambda pt, params: is_2tsp(pt)),
-        oracle=_2tsp_oracle,
-    ),
-    "3tsp": RegionCriterion(
-        name="3tsp",
-        axes=_CUBE3[0],
-        bounds=_CUBE3[1],
-        default_steps=21,
-        analytic=_verdict_analytic(lambda pt, params: is_3tsp(pt)),
-        oracle=_3tsp_oracle,
-    ),
+    "2tsp": RegionCriterion(lambda pt: is_2tsp(pt), _2tsp_oracle),
+    "3tsp": RegionCriterion(lambda pt: is_3tsp(pt), _3tsp_oracle),
     "nonunital-positive": RegionCriterion(
-        name="nonunital-positive",
-        axes=_CUBE3[0],
-        bounds=_CUBE3[1],
-        default_steps=21,
-        analytic=_verdict_analytic(lambda pt, params: classify_nonunital_positive(_nonunital(pt, params))),
-        oracle=_nonunital_positive_oracle,
-        params=(("t", 0.8),),
+        lambda pt, t: classify_nonunital_positive(NonUnitalFamilyMap(t, pt)),
+        _nonunital_positive_oracle,
+        _FAMILY_T,
     ),
     "nonunital-ghz": RegionCriterion(
-        name="nonunital-ghz",
-        axes=_CUBE3[0],
-        bounds=_CUBE3[1],
-        default_steps=21,
-        analytic=_verdict_analytic(lambda pt, params: ghz_output_conditions(_nonunital(pt, params))),
-        oracle=_nonunital_ghz_oracle,
-        params=(("t", 0.8),),
+        lambda pt, t: ghz_output_conditions(NonUnitalFamilyMap(t, pt)), _nonunital_ghz_oracle, _FAMILY_T
     ),
-    "nonunital-2tsp": RegionCriterion(
-        name="nonunital-2tsp",
-        axes=_CUBE3[0],
-        bounds=_CUBE3[1],
-        default_steps=21,
-        analytic=_nonunital_2tsp_analytic,
-        oracle=_nonunital_2tsp_oracle,
-        params=(("t", 0.8),),
-    ),
+    "nonunital-2tsp": RegionCriterion(_nonunital_2tsp_analytic, _nonunital_2tsp_oracle, _FAMILY_T),
 }
 
 
@@ -502,7 +471,7 @@ def region_scan(
             f"unknown criterion {criterion!r}; known: {', '.join(region_criteria())}"
         )
     crit = _REGION_CRITERIA[criterion]
-    cfg = cfg or OracleConfig(restarts=8, sample_count=256)
+    cfg = cfg or REGION_SCAN_CONFIG
     merged = region_params(criterion)
     unread = sorted(set(params or {}) - set(merged))
     if unread:
@@ -526,9 +495,10 @@ def region_scan(
     oracle = np.zeros(npts, dtype=float)
 
     for i, pt in enumerate(points):
-        analytic[i], slack[i] = crit.analytic(pt, merged)
+        verdict = crit.analytic(pt, **merged)
+        analytic[i], slack[i] = verdict.satisfied, verdict.worst_slack
         seed = int(np.random.SeedSequence((cfg.seed, i)).generate_state(1)[0])
-        oracle[i] = crit.oracle(pt, merged, dataclasses.replace(cfg, seed=seed))
+        oracle[i] = crit.oracle(pt, dataclasses.replace(cfg, seed=seed), **merged)
 
     flags = np.array([_flag(a, sl, o) for a, sl, o in zip(analytic, slack, oracle)])
     summary = {

@@ -96,19 +96,9 @@ class WitnessScanConfig:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
 
 
-def _pure_projector(psi: np.ndarray, n: int) -> HermitianOperator:
-    return HermitianOperator(np.outer(psi, psi.conj()), (2,) * n)
-
-
 def _ghz_vector(n: int) -> np.ndarray:
     psi = np.zeros(2**n, dtype=np.complex128)
     psi[0] = psi[-1] = 2**-0.5
-    return psi
-
-
-def _w3_vector() -> np.ndarray:
-    psi = np.zeros(8, dtype=np.complex128)
-    psi[1] = psi[2] = psi[4] = 3**-0.5
     return psi
 
 
@@ -124,7 +114,9 @@ def build_state(kind: str, q: float, n: int = 3) -> MultiQubitState:
             raise ValueError(f"ghz needs 2..{MAX_QUBITS} qubits, got {n}")
         psi, nq = _ghz_vector(n), n
     elif kind == "w3":
-        psi, nq = _w3_vector(), 3
+        psi = np.zeros(8, dtype=np.complex128)
+        psi[1] = psi[2] = psi[4] = 3**-0.5
+        nq = 3
     elif kind == "psi_plus":
         psi = np.zeros(4, dtype=np.complex128)
         psi[0] = psi[3] = 2**-0.5
@@ -171,8 +163,8 @@ def ghz_variants(n: int = 3) -> list[MultiQubitState]:
     out = []
     for ui in _U:
         for uj in _U:
-            big = kron_all([ui @ uj] * 3)
-            out.append(MultiQubitState(_pure_projector(big @ psi, 3)))
+            v = kron_all([ui @ uj] * 3) @ psi
+            out.append(MultiQubitState(HermitianOperator(np.outer(v, v.conj()), (2,) * 3)))
     return out
 
 
@@ -245,11 +237,7 @@ def threshold_search(
     ``q_star = 1.0`` with an empty witness.
     """
     key = family.lower().removesuffix("depol").rstrip("-_")
-    if key == "ghz":
-        psi = _ghz_vector(3)
-    elif key in ("w", "w3"):
-        psi = _w3_vector()
-    else:
+    if key not in ("ghz", "w", "w3"):
         raise ValueError(f"unknown state family {family!r}")
     if n not in (1, 2):
         raise ValueError(f"threshold search supports n in {{1, 2}}, got {n}")
@@ -257,7 +245,8 @@ def threshold_search(
 
     lams = _scan_maps_n1(cfg) if n == 1 else _scan_maps_n2(cfg)
     lams = lams[_certified(lams, n)]
-    m_min = _power_min_eigs(np.insert(lams, 0, 1.0, axis=1), np.outer(psi, psi.conj()))
+    pure = build_state("ghz" if key == "ghz" else "w3", 1.0).rho.matrix
+    m_min = _power_min_eigs(np.insert(lams, 0, 1.0, axis=1), pure)
     best = int(np.argmin(m_min))
     m = float(m_min[best])
     if m >= -NEGATIVITY_TOL:

@@ -68,10 +68,51 @@ class TestClassify:
         assert "positive_family" not in data["criteria"]
         assert data["report"]["positivity_method"] == "numeric-block-positivity"
 
-    def test_missing_input_is_domain_error(self, capsys):
-        code, _, err = run(capsys, "classify")
-        assert code == 2
-        assert "domain error" in err
+    def test_missing_input_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "classify")
+        assert code == 1 and out == ""
+        assert "--lambda" in err and "--map" in err
+
+    PAULI_KEYS = {"2tsp", "3tsp", "necessary", "ball"}
+    FAMILY_KEYS = {"positive_family", "ghz_output", "2tsp"}
+
+    @pytest.mark.parametrize(
+        "argv,keys,has_t",
+        [
+            (["--lambda", "1,0.707107,0,0.707107"], PAULI_KEYS, False),
+            (["--lambda", "0.9,0.5,-0.2,0.1"], PAULI_KEYS, False),
+            (["--lambda", "0.5,0.5,0.5", "--t", "0"], PAULI_KEYS, False),
+            (["--lambda", "0.3,0.2,0.1", "--t", "0.5"], FAMILY_KEYS, True),  # interior
+            (["--lambda", "0.2,0.3,0.5", "--t", "0.5"], FAMILY_KEYS - {"2tsp"}, True),  # boundary
+            (["--lambda", "0.1,0.1,0.5", "--t", "0.8"], FAMILY_KEYS - {"2tsp"}, True),  # exterior
+        ],
+    )
+    def test_criteria_follow_the_map_family(self, capsys, argv, keys, has_t):
+        code, out, _ = run(capsys, "classify", *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert set(data["criteria"]) == keys
+        assert ("t" in data["map"]) == has_t
+
+    @pytest.mark.parametrize(
+        "text,keys,has_t",
+        [
+            ('{"lambda": [0.5, 0.5, 0.5]}', PAULI_KEYS, False),
+            ('{"lambda": [0.9, 0.5, -0.2, 0.1]}', PAULI_KEYS, False),
+            ('{"lambda": [1.0, 0.3, 0.1, 0.1], "t": [0.0, 0.0, 0.0]}', PAULI_KEYS, False),
+            ('{"lambda": [1.0, 0.1, 0.1, 0.1], "t": [0.0, 0.0, 0.5]}', FAMILY_KEYS, True),
+            ('{"lambda": [0.2, 0.3, 0.5], "t": 0.5}', FAMILY_KEYS - {"2tsp"}, True),
+            ('{"lambda": [1.0, 0.1, 0.1, 0.1], "t": [0.2, 0.0, 0.1]}', set(), True),
+        ],
+    )
+    def test_map_file_criteria_follow_the_map_family(self, capsys, tmp_path, text, keys, has_t):
+        path = tmp_path / "map.json"
+        path.write_text(text)
+        code, out, _ = run(capsys, "classify", "--map", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert set(data["criteria"]) == keys
+        assert ("t" in data["map"]) == has_t
 
     def test_malformed_lambda(self, capsys):
         code, _, err = run(capsys, "classify", "--lambda", "1,2")
@@ -221,6 +262,12 @@ class TestLift:
         assert code == 2
         assert "domain error" in err
 
+    @pytest.mark.parametrize("lam", ["1e300,1e300,1e300", "1.5,0,0", "0.5,-2,0.5"])
+    def test_points_outside_the_cube_are_domain_errors(self, capsys, lam):
+        code, out, err = run(capsys, "lift", "--lambda=" + lam, "--n", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("domain error: lift requires a positive map")
+
     def test_non_finite_lambda(self, capsys):
         code, out, err = run(capsys, "lift", "--lambda", "nan,0,1", "--n", "1")
         assert code == 1 and out == ""
@@ -306,6 +353,26 @@ class TestFuzz:
                 "--steps": (["2", "3", "5"], ["0", "1", "-1", "abc", ""]),
             },
         }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--t", "0.5"],
+            ["--lambda", "0.5,0.5,0.5", "--map", "MAP"],
+            ["--map", "MAP", "--lambda", "0.5,0.5,0.5", "--t", "0"],
+            ["--map", "MAP", "--t", "0.5"],
+            ["--map", "MAP", "--t", "0"],
+            ["--map", ""],
+        ],
+    )
+    def test_classify_takes_one_input(self, capsys, tmp_path, argv):
+        """--lambda or --map, never both and never neither; --t only with --lambda."""
+        path = tmp_path / "map.json"
+        path.write_text('{"lambda": [0.5, 0.5, 0.5]}')
+        code, out, err = run(capsys, "classify", *[str(path) if a == "MAP" else a for a in argv])
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
 
     def test_exit_codes_and_strict_json(self, capsys, tmp_path):
         maps = []

@@ -172,6 +172,14 @@ class TestLift:
         with pytest.raises(ValueError, match="sum"):
             lift_ntsp((0.2, 0.2, 0.2), 1)
 
+    @pytest.mark.parametrize("lam", [(1.5, 0.0, 0.0), (1e300, 1e300, 1e300), (0.5, -1.0 - 1e-12, 0.5)])
+    def test_rejects_points_outside_the_cube(self, lam):
+        # Not positive, hence not n-tensor-stable for any n: nothing to lift.
+        with pytest.raises(ValueError, match="positive map"):
+            lift_x_max(lam, 1)
+        with pytest.raises(ValueError, match="positive map"):
+            lift_ntsp(lam, 2)
+
     def test_rejects_bad_x(self):
         xm = lift_x_max((1.0, 0.0, 1.0), 1)
         with pytest.raises(ValueError, match=str(round(xm, 3))[:4]):

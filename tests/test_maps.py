@@ -227,6 +227,15 @@ class TestClassify:
         rep = classify(PauliMap((0.5, 0.2, 0.2, 0.2)))
         assert not rep.unital and not rep.trace_preserving
 
+    @pytest.mark.parametrize("l0", [1 + 1e-6, 1 - 1e-6, 1 + 1e-11])
+    def test_unital_flags_use_an_absolute_tolerance(self, l0):
+        # The default relative tolerance of np.allclose (1e-5) would call these unital.
+        rep = classify(PauliMap((l0, 0.5, 0.5, 0.5)))
+        assert not rep.unital and not rep.trace_preserving
+        g = GeneralQubitMap(np.diag([l0, 0.5, 0.5, 0.5]))
+        assert not classify(g).unital
+        assert classify(PauliMap((1 + 1e-13, 0.5, 0.5, 0.5))).unital
+
 
 class TestTensorApply:
     def test_identity_pair(self):

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from tensorstable.criteria import is_2tsp
 from tensorstable.linalg import SIGMA, HermitianOperator
-from tensorstable.maps import PauliMap, max_entangled_projector, tensor_apply
+from tensorstable.maps import GeneralQubitMap, PauliMap, max_entangled_projector, tensor_apply
 from tensorstable.nonunital import (
     NonUnitalFamilyMap,
     classify_nonunital_positive,
@@ -44,6 +44,12 @@ class TestFamilyMap:
 
     def test_interior_gap(self):
         assert NonUnitalFamilyMap(0.25, (0, 0, 0.5)).interior_gap() == 0.25
+
+    @pytest.mark.parametrize("t,lam3", [(0.3, (0.5, -0.2, 0.1)), (-0.8, (0.0, 0.0, 0.2)), (0.0, (1.0, -1.0, 1.0))])
+    def test_matrix_is_the_translated_general_map(self, t, lam3):
+        expected = GeneralQubitMap.from_translation((0.0, 0.0, t), lam3).matrix
+        assert np.array_equal(NonUnitalFamilyMap(t, lam3).matrix, expected)
+        assert np.array_equal(NonUnitalFamilyMap(t, lam3).to_general().matrix, expected)
 
 
 class TestReduceToUnital:
