@@ -20,7 +20,7 @@ for q1, q2 in [(1.0, -0.3), (1.0, -0.4), (0.9, -0.35), (-0.8, -0.9)]:
           f"min output eigenvalue: {numeric:+.4f}")
 
 print("\n17x17 region scan (analytic verdict vs oracle sign)")
-rep = region_scan("depolarizing", steps=17, cfg=cfg)
+rep = region_scan("depolarizing", steps=17, seed=0)
 print(f"  summary: {rep.summary}")
 
 grid = rep.analytic.reshape(17, 17)

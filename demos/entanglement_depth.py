@@ -10,7 +10,6 @@ import numpy as np
 
 from tensorstable import HermitianOperator, MultiQubitState, build_state, depth_witness, threshold_search
 from tensorstable.criteria import hyperboloid_point
-from tensorstable.witness import WitnessScanConfig
 
 print("single witness runs on the noisy GHZ state")
 boundary = hyperboloid_point(2**0.5 - 1, 2**0.5 - 1) * (1 - 1e-9)
@@ -28,7 +27,7 @@ for family, n, meaning in [
     ("w", 1, "not fully separable"),
     ("w", 2, "genuinely entangled"),
 ]:
-    res = threshold_search(family, n, WitnessScanConfig(steps=21))
+    res = threshold_search(family, n, steps=21)
     lam = tuple(round(float(v), 3) for v in res.witness)
     print(
         f"  {family:3} n={n}: {meaning} for q > {res.q_star:.3f} "

@@ -23,10 +23,8 @@ from .linalg import (
     SIGMA,
     ConvergenceError,
     HermitianOperator,
-    char_poly_coeffs,
     hermitian_spectrum,
     kron,
-    partial_trace,
     partial_transpose,
     psd_verdict,
 )
@@ -43,7 +41,6 @@ from .maps import (
     map_from_json,
     map_to_json,
     max_entangled_projector,
-    q_to_lambda,
     tensor_apply,
 )
 from .nonunital import (

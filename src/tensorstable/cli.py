@@ -2,14 +2,14 @@
 
 Exit codes: 0 success, 1 malformed input, 2 domain error, 3 numeric error.
 Output is deterministic for a fixed (command line, seed); ``region`` and
-``verify`` take ``--seed``, which the environment variable ``TSP_SEED``
-overrides.
+``verify`` pass ``--seed`` to ``region_scan(..., seed=)``, and the environment
+variable ``TSP_SEED`` overrides it.  ``witness --steps`` is the resolution
+``threshold_search(..., steps=)`` scans its maps at.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -34,8 +34,8 @@ from .nonunital import (
     is_2tsp_nonunital,
     reduce_to_unital,
 )
-from .oracles import REGION_SCAN_CONFIG, region_criteria, region_params, region_scan
-from .witness import WitnessScanConfig, threshold_search
+from .oracles import region_criteria, region_params, region_scan
+from .witness import threshold_search
 
 __all__ = ["main"]
 
@@ -168,11 +168,10 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_region(args, summary_only: bool = False):
-    cfg = dataclasses.replace(REGION_SCAN_CONFIG, seed=args.seed)
     params = {"t": args.t} if args.t is not None else None
     if params and "t" not in region_params(args.criterion):
         raise _UsageError(f"--t does not apply to --criterion {args.criterion}")
-    rep = region_scan(args.criterion, steps=args.grid, params=params, cfg=cfg)
+    rep = region_scan(args.criterion, steps=args.grid, params=params, seed=args.seed)
     if summary_only:
         return {"criterion": rep.criterion, "params": rep.params, "summary": rep.summary}
     _write(rep.to_csv() if args.format == "csv" else rep.to_json() + "\n", args)
@@ -200,11 +199,11 @@ def _cmd_reduce(args) -> dict:
 
 
 def _cmd_witness(args) -> dict:
+    # --family and --n are parser choices, so only --steps can be rejected here.
     try:
-        cfg = WitnessScanConfig(steps=args.steps)
+        res = threshold_search(args.family, args.n, steps=args.steps)
     except ValueError as exc:
         raise _UsageError(f"bad --steps: {exc}") from None
-    res = threshold_search(args.family, args.n, cfg)
     return {
         "family": args.family,
         "n": args.n,

@@ -60,6 +60,8 @@ def as_lambda_point(lam: LambdaPoint) -> np.ndarray:
     p = np.asarray(lam, dtype=float)
     if p.shape != (3,):
         raise ValueError("a lambda point has exactly three components")
+    if not np.isfinite(p).all():
+        raise ValueError(f"lambda values must be finite, got {p}")
     return p
 
 

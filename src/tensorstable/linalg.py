@@ -16,11 +16,9 @@ __all__ = [
     "SIGMA",
     "ConvergenceError",
     "HermitianOperator",
-    "char_poly_coeffs",
     "hermitian_spectrum",
     "kron",
     "kron_all",
-    "partial_trace",
     "partial_transpose",
     "psd_verdict",
     "symmetric_linspace",
@@ -41,6 +39,10 @@ HERMITIZE_TOL = 1e-10
 # marginal in between.  Separates roundoff from genuine negativity.
 PSD_CONFIRM_TOL = 1e-9
 PSD_REFUTE_TOL = 1e-6
+
+# An oracle restart has converged once its value moves by less than this
+# between iterations.
+CONVERGENCE_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -110,9 +112,6 @@ class HermitianOperator:
     def min_eig(self) -> float:
         return float(self.spectrum()[0])
 
-    def psd_verdict(self) -> str:
-        return psd_verdict(self.spectrum())
-
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim}, dims={self.dims})"
 
@@ -129,30 +128,6 @@ def kron_all(mats: Iterable) -> np.ndarray:
     for m in mats:
         out = np.kron(out, _as_matrix(m))
     return out
-
-
-def partial_trace(y: HermitianOperator, keep: Iterable[int]) -> HermitianOperator:
-    """Trace out all factors of ``y`` not listed in ``keep``.
-
-    The result's dimension is the product of the kept factor dimensions and
-    its trace equals the trace of ``y``.
-    """
-    keep = sorted(set(int(k) for k in keep))
-    n = y.nfactors
-    if not keep:
-        raise ValueError("keep must be a nonempty set of factor indices")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"factor index out of range for {n} factors: {keep}")
-    dims = y.dims
-    drop = [k for k in range(n) if k not in keep]
-    t = y.matrix.reshape(dims + dims)
-    # Trace each dropped factor pair, highest index first so positions stay valid.
-    for k in reversed(drop):
-        nleft = t.ndim // 2
-        t = np.trace(t, axis1=k, axis2=nleft + k)
-    kept_dims = tuple(dims[k] for k in keep)
-    d = int(np.prod(kept_dims))
-    return HermitianOperator(t.reshape(d, d), kept_dims)
 
 
 def partial_transpose(y: HermitianOperator, subsystems: Iterable[int]) -> HermitianOperator:
@@ -175,30 +150,6 @@ def hermitian_spectrum(h) -> np.ndarray:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"eigensolver failed to converge: {exc}") from exc
-
-
-def char_poly_coeffs(h) -> np.ndarray:
-    """Coefficients ``s_1..s_N`` of ``det(x I - h)`` via the trace-power recursion.
-
-    Sign convention: ``det(x I - h) = x^N - s_1 x^(N-1) + s_2 x^(N-2) - ...``,
-    so the ``s_k`` are the elementary symmetric functions of the eigenvalues
-    and ``h >= 0`` iff all ``s_k >= 0``.
-    """
-    m = _as_matrix(h)
-    n = m.shape[0]
-    powers = np.empty(n + 1)
-    mk = np.eye(n, dtype=np.complex128)
-    for k in range(1, n + 1):
-        mk = mk @ m
-        powers[k] = np.trace(mk).real
-    s = np.empty(n + 1)
-    s[0] = 1.0
-    for k in range(1, n + 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += (-1) ** (j - 1) * s[k - j] * powers[j]
-        s[k] = acc / k
-    return s[1:]
 
 
 def psd_verdict(eigs: np.ndarray) -> str:

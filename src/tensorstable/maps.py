@@ -13,6 +13,7 @@ with ``q = H4 @ lambda / 4`` (``H4`` the +-1 Hadamard pattern).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -42,7 +43,6 @@ __all__ = [
     "map_from_choi",
     "map_to_json",
     "max_entangled_projector",
-    "q_to_lambda",
     "tensor_apply",
 ]
 
@@ -72,14 +72,6 @@ def lambda_to_q(lam: Sequence[float]) -> np.ndarray:
     return H4 @ lam / 4.0
 
 
-def q_to_lambda(q: Sequence[float]) -> np.ndarray:
-    """Inverse of :func:`lambda_to_q` (``H4 @ H4 = 4 I``)."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise ValueError("q must have four components")
-    return H4 @ q
-
-
 def _check_2x2(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (2, 2):
@@ -97,6 +89,8 @@ class PauliMap:
         lam = tuple(float(v) for v in self.lam)
         if len(lam) != 4:
             raise ValueError("PauliMap takes four lambda values")
+        if not all(map(math.isfinite, lam)):
+            raise ValueError(f"PauliMap lambda values must be finite, got {lam}")
         object.__setattr__(self, "lam", lam)
 
     @classmethod
@@ -139,14 +133,6 @@ class PauliMap:
         """Action in the lambda form, ``(1/2) sum_j l_j tr(sigma_j X) sigma_j``."""
         return _pauli_product(self.lam, _check_2x2(x), diagonal=True)
 
-    def apply_conjugation(self, x) -> np.ndarray:
-        """Action in the conjugation form, ``sum_j q_j sigma_j X sigma_j``."""
-        x = _check_2x2(x)
-        out = np.zeros((2, 2), dtype=np.complex128)
-        for qj, s in zip(self.q, SIGMA):
-            out += qj * (s @ x @ s)
-        return out
-
     def superop(self) -> np.ndarray:
         return _superop_from_matrix(self.matrix)
 
@@ -160,6 +146,8 @@ class GeneralQubitMap:
         m = np.asarray(matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 real matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("qubit map matrix entries must be finite")
         self.matrix = m.copy()
 
     @classmethod

@@ -16,6 +16,7 @@ criteria.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,12 @@ class NonUnitalFamilyMap:
     lam3: tuple[float, float, float]
 
     def __post_init__(self):
-        lam3 = tuple(float(v) for v in self.lam3)
+        t, lam3 = float(self.t), tuple(float(v) for v in self.lam3)
         if len(lam3) != 3:
             raise ValueError("lam3 must have three components")
-        object.__setattr__(self, "t", float(self.t))
+        if not all(map(math.isfinite, (t, *lam3))):
+            raise ValueError(f"t and lam3 must be finite, got t={t}, lam3={lam3}")
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "lam3", lam3)
 
     @property

@@ -25,6 +25,7 @@ import numpy as np
 
 from .criteria import CriterionVerdict, depolarizing_pair_positive, is_2tsp, is_3tsp
 from .linalg import (
+    CONVERGENCE_TOL,
     PSD_CONFIRM_TOL,
     PSD_REFUTE_TOL,
     ConvergenceError,
@@ -62,7 +63,6 @@ __all__ = [
     "region_criteria",
     "region_params",
     "region_scan",
-    "symmetric_linspace",
 ]
 
 
@@ -72,18 +72,15 @@ class OracleConfig:
 
     restarts: int = 64
     max_iters: int = 500
-    convergence_tol: float = 1e-12
     seed: int = 0
     sample_count: int = 4096
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1 or self.sample_count < 1:
             raise ValueError("counts must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be > 0")
 
 
-# Oracle budget of a region scan, per grid point; callers replace only the seed.
+# Oracle budget of a region scan, per grid point; the scan derives each point's seed.
 REGION_SCAN_CONFIG = OracleConfig(restarts=8, sample_count=256)
 
 
@@ -129,7 +126,7 @@ def _see_saw(w4: np.ndarray, chi0: np.ndarray, cfg: OracleConfig) -> SeeSawResul
         vb, chi = _min_eigvecs(mb)
         history.append(vb)
         if values is not None:
-            converged |= np.abs(vb - values) < cfg.convergence_tol
+            converged |= np.abs(vb - values) < CONVERGENCE_TOL
         values = vb
         if converged.all():
             break
@@ -260,7 +257,7 @@ def min_output_eig(
         outs = (rho @ s.T).reshape(-1, d, d)
         vout, v = _min_eigvecs(outs)
         history.append(vout)
-        done = values is not None and np.abs(vout - values).max() < cfg.convergence_tol
+        done = values is not None and np.abs(vout - values).max() < CONVERGENCE_TOL
         values = vout
         if done:
             break
@@ -448,30 +445,25 @@ class RegionScanReport:
         }
         return json.dumps(payload, sort_keys=True)
 
-    def save(self, path: str, fmt: str = "json") -> None:
-        text = self.to_csv() if fmt == "csv" else self.to_json()
-        with open(path, "w") as fh:
-            fh.write(text)
-
 
 def region_scan(
     criterion: str,
     steps: int | Sequence[int] | None = None,
     params: dict | None = None,
-    cfg: OracleConfig | None = None,
+    seed: int = 0,
 ) -> RegionScanReport:
     """Sweep a parameter grid, comparing an analytic criterion to its oracle.
 
-    Points are evaluated in row-major grid order.  Each point's oracle seed
-    derives from ``(cfg.seed, point index)``, so a report depends only on
-    the criterion, grid, parameters and ``cfg``.
+    Points are evaluated in row-major grid order with the oracle budget
+    :data:`REGION_SCAN_CONFIG`.  Each point's oracle seed derives from
+    ``(seed, point index)``, so a report depends only on the criterion,
+    grid, parameters and ``seed``.
     """
     if criterion not in _REGION_CRITERIA:
         raise ValueError(
             f"unknown criterion {criterion!r}; known: {', '.join(region_criteria())}"
         )
     crit = _REGION_CRITERIA[criterion]
-    cfg = cfg or REGION_SCAN_CONFIG
     merged = region_params(criterion)
     unread = sorted(set(params or {}) - set(merged))
     if unread:
@@ -497,8 +489,8 @@ def region_scan(
     for i, pt in enumerate(points):
         verdict = crit.analytic(pt, **merged)
         analytic[i], slack[i] = verdict.satisfied, verdict.worst_slack
-        seed = int(np.random.SeedSequence((cfg.seed, i)).generate_state(1)[0])
-        oracle[i] = crit.oracle(pt, dataclasses.replace(cfg, seed=seed), **merged)
+        point_seed = int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
+        oracle[i] = crit.oracle(pt, dataclasses.replace(REGION_SCAN_CONFIG, seed=point_seed), **merged)
 
     flags = np.array([_flag(a, sl, o) for a, sl, o in zip(analytic, slack, oracle)])
     summary = {

@@ -21,7 +21,6 @@ __all__ = [
     "DepthVerdict",
     "MultiQubitState",
     "ThresholdResult",
-    "WitnessScanConfig",
     "build_state",
     "depth_witness",
     "ghz_variants",
@@ -31,6 +30,9 @@ __all__ = [
 
 NEGATIVITY_TOL = 1e-9
 MAX_QUBITS = 6
+# Scanned two-fold-stable maps are pulled this far inside their region, so the
+# exact certification arithmetic is immune to parametrization roundoff.
+SHRINK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,22 +80,6 @@ class ThresholdResult:
     q_star: float
     witness: np.ndarray | None
     neg_eig: float
-
-
-@dataclass(frozen=True)
-class WitnessScanConfig:
-    """Scan resolution for :func:`threshold_search`.
-
-    ``shrink`` pulls boundary maps just inside their region so the exact
-    certification arithmetic is immune to parametrization roundoff.
-    """
-
-    steps: int = 21
-    shrink: float = 1e-9
-
-    def __post_init__(self):
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
 
 
 def _ghz_vector(n: int) -> np.ndarray:
@@ -193,8 +179,8 @@ def depth_witness(state: MultiQubitState, lam, n: int) -> DepthVerdict:
     return DepthVerdict(lower_bound=bound, witness_map=lam, neg_eig=float(neg))
 
 
-def _scan_maps_n1(cfg: WitnessScanConfig) -> np.ndarray:
-    grid = symmetric_linspace(-1.0, 1.0, cfg.steps)
+def _scan_maps_n1(steps: int) -> np.ndarray:
+    grid = symmetric_linspace(-1.0, 1.0, steps)
     face = np.stack(np.meshgrid([-1.0, 1.0], grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
     # Cube faces in (axis, sign, a, b) order: roll[axis, j] is the column of
     # (sign, a, b) that lands on axis j.
@@ -202,11 +188,11 @@ def _scan_maps_n1(cfg: WitnessScanConfig) -> np.ndarray:
     return _dedupe(face[:, roll].transpose(1, 0, 2).reshape(-1, 3))
 
 
-def _scan_maps_n2(cfg: WitnessScanConfig) -> np.ndarray:
-    grid = np.linspace(0.0, 1.0, cfg.steps)
+def _scan_maps_n2(steps: int) -> np.ndarray:
+    grid = np.linspace(0.0, 1.0, steps)
     base = hyperboloid_point(*np.meshgrid(grid, grid, indexing="ij")).reshape(-1, 3)
     pts = np.einsum("tij,pj->pti", np.array(variant_transforms()), base)
-    return _dedupe(pts.reshape(-1, 3) * (1.0 - cfg.shrink))
+    return _dedupe(pts.reshape(-1, 3) * (1.0 - SHRINK))
 
 
 def _dedupe(pts: np.ndarray) -> np.ndarray:
@@ -219,16 +205,13 @@ def _dedupe(pts: np.ndarray) -> np.ndarray:
     return pts[last[np.argsort(first)]]
 
 
-def threshold_search(
-    family: str,
-    n: int,
-    scan_cfg: WitnessScanConfig | None = None,
-) -> ThresholdResult:
+def threshold_search(family: str, n: int, steps: int = 21) -> ThresholdResult:
     """Smallest noise weight at which some certified map detects the state.
 
     ``family`` is ``"ghz"`` or ``"w"`` (three-qubit state mixed with white
     noise at weight ``1 - q``); ``n`` in ``{1, 2}`` selects the certificate
-    the scanned maps must carry.  The maps are unital and trace preserving,
+    the scanned maps must carry, and ``steps >= 2`` the resolution of their
+    parameter grid.  The maps are unital and trace preserving,
     so a map whose output on the pure state has smallest eigenvalue ``m``
     outputs ``q m + (1 - q) / 8`` on the noisy one, and detects it exactly
     for ``q > (1/8 + NEGATIVITY_TOL) / (1/8 - m)``.  That onset grows with
@@ -241,9 +224,10 @@ def threshold_search(
         raise ValueError(f"unknown state family {family!r}")
     if n not in (1, 2):
         raise ValueError(f"threshold search supports n in {{1, 2}}, got {n}")
-    cfg = scan_cfg or WitnessScanConfig()
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
 
-    lams = _scan_maps_n1(cfg) if n == 1 else _scan_maps_n2(cfg)
+    lams = _scan_maps_n1(steps) if n == 1 else _scan_maps_n2(steps)
     lams = lams[_certified(lams, n)]
     pure = build_state("ghz" if key == "ghz" else "w3", 1.0).rho.matrix
     m_min = _power_min_eigs(np.insert(lams, 0, 1.0, axis=1), pure)

@@ -17,7 +17,7 @@ from tensorstable.criteria import (
     ntsp_sufficient_ball,
     squared_map_choi_eigs,
 )
-from tensorstable.linalg import HermitianOperator
+from tensorstable.linalg import HermitianOperator, symmetric_linspace
 from tensorstable.maps import (
     PauliMap,
     choi,
@@ -32,9 +32,8 @@ from tensorstable.oracles import (
     decomposability_fixtures,
     min_output_eig,
     region_scan,
-    symmetric_linspace,
 )
-from tensorstable.witness import WitnessScanConfig, ghz_variants, threshold_search
+from tensorstable.witness import ghz_variants, threshold_search
 
 SEED = 987654321
 SCAN_CFG = OracleConfig(restarts=8, sample_count=256, seed=SEED)
@@ -46,7 +45,7 @@ def _passed(label: str, detail: str = "") -> None:
 
 def test_1_depolarizing_region():
     t0 = time.time()
-    rep = region_scan("depolarizing", steps=41, cfg=SCAN_CFG)
+    rep = region_scan("depolarizing", steps=41, seed=SEED)
     elapsed = time.time() - t0
     assert len(rep.points) == 41 * 41
     assert rep.summary["disagree"] == 0
@@ -67,7 +66,7 @@ def test_2_two_tensor_stability_iff():
                     mismatches += 1
     assert mismatches == 0
 
-    rep = region_scan("2tsp", steps=21, cfg=SCAN_CFG)
+    rep = region_scan("2tsp", steps=21, seed=SEED)
     elapsed = time.time() - t0
     assert rep.summary["disagree"] == 0
     assert elapsed < 300.0
@@ -231,7 +230,7 @@ def test_8_witness_thresholds():
     got = []
     for family, n, printed in targets:
         t0 = time.time()
-        res = threshold_search(family, n, WitnessScanConfig(steps=21))
+        res = threshold_search(family, n, steps=21)
         elapsed = time.time() - t0
         assert elapsed < 120.0
         assert res.q_star == pytest.approx(printed, abs=0.02)

@@ -48,3 +48,42 @@ def test_imports_follow_the_module_order():
 def test_known_exceptions_are_still_needed():
     used = {(m, t) for m in ORDER for t, lazy in relative_imports(m) if lazy}
     assert KNOWN_LAZY <= used
+
+
+def module_tree(module):
+    return ast.parse((Path(tensorstable.__file__).parent / f"{module}.py").read_text())
+
+
+def sibling_imports(tree):
+    """{name: sibling module} for every ``from .sibling import name`` in a module."""
+    return {
+        alias.asname or alias.name: node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def declared_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_module_reexports_a_sibling_name():
+    reexported = []
+    for module in ORDER:
+        tree = module_tree(module)
+        imported = sibling_imports(tree)
+        reexported += [f"{module}.{name} (from {imported[name]})" for name in declared_all(tree) & set(imported)]
+    assert reexported == []
+
+
+def test_package_names_are_declared_by_their_module():
+    undeclared = [
+        f"{name} (from {source})"
+        for name, source in sibling_imports(module_tree("__init__")).items()
+        if not name.startswith("_") and name not in declared_all(module_tree(source))
+    ]
+    assert undeclared == []

@@ -5,10 +5,8 @@ from numpy.testing import assert_allclose
 from tensorstable.linalg import (
     SIGMA,
     HermitianOperator,
-    char_poly_coeffs,
     hermitian_spectrum,
     kron,
-    partial_trace,
     partial_transpose,
     psd_verdict,
 )
@@ -81,40 +79,6 @@ class TestHermitianOperator:
             HermitianOperator(np.eye(4), (2, 3))
 
 
-class TestPartialTrace:
-    def test_max_entangled_reduction(self):
-        red = partial_trace(psi_plus_projector(), {0})
-        assert_allclose(red.matrix, np.eye(2) / 2, atol=1e-14)
-
-    def test_product_state(self):
-        rho = rand_hermitian(2)
-        sigma = rand_hermitian(2)
-        both = HermitianOperator(np.kron(rho, sigma), (2, 2))
-        red = partial_trace(both, {0})
-        assert_allclose(red.matrix, rho * np.trace(sigma).real, atol=1e-12)
-
-    def test_ghz_two_qubit_reduction(self):
-        ghz = np.zeros(8, dtype=complex)
-        ghz[0] = ghz[7] = 2**-0.5
-        g = HermitianOperator(np.outer(ghz, ghz.conj()), (2, 2, 2))
-        red = partial_trace(g, {0, 1})
-        expected = np.zeros((4, 4))
-        expected[0, 0] = expected[3, 3] = 0.5
-        assert_allclose(red.matrix, expected, atol=1e-14)
-
-    def test_preserves_trace(self):
-        h = HermitianOperator(rand_hermitian(8), (2, 2, 2))
-        for keep in ({0}, {1}, {0, 2}, {0, 1, 2}):
-            assert abs(partial_trace(h, keep).trace() - h.trace()) < 1e-12
-
-    def test_invalid_subsystem(self):
-        h = HermitianOperator(rand_hermitian(4), (2, 2))
-        with pytest.raises(ValueError, match="index"):
-            partial_trace(h, {2})
-        with pytest.raises(ValueError, match="nonempty"):
-            partial_trace(h, set())
-
-
 class TestPartialTranspose:
     def test_max_entangled(self):
         pt = partial_transpose(psi_plus_projector(), [1])
@@ -144,39 +108,6 @@ class TestSpectrum:
             back = (v * w) @ v.conj().T
             scale = np.abs(w).max()
             assert np.abs(back - h).max() <= 1e-10 * max(scale, 1.0)
-
-
-class TestCharPoly:
-    def test_rank_two_projector_mix(self):
-        s = char_poly_coeffs(np.diag([0.5, 0.5, 0.0, 0.0]))
-        assert_allclose(s, [1.0, 0.25, 0.0, 0.0], atol=1e-14)
-
-    def test_indefinite_two_level(self):
-        s = char_poly_coeffs(np.diag([1.0, -1.0]))
-        assert_allclose(s, [0.0, -1.0], atol=1e-14)
-
-    def test_psd_has_nonnegative_coeffs(self):
-        for _ in range(30):
-            a = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
-            h = a @ a.conj().T
-            assert char_poly_coeffs(h).min() > -1e-10
-
-    def test_trace_is_first_coefficient(self):
-        h = rand_hermitian(8)
-        assert abs(char_poly_coeffs(h)[0] - np.trace(h).real) < 1e-10
-
-    def test_agrees_with_spectrum_verdict(self):
-        # Two independent positivity oracles: eigenvalues vs coefficient signs.
-        for _ in range(100):
-            dim = int(RNG.integers(2, 17))
-            h = rand_hermitian(dim)
-            if RNG.random() < 0.5:
-                h = h @ h.conj().T  # PSD branch
-            by_eig = hermitian_spectrum(h)[0] >= -1e-10
-            by_coeff = char_poly_coeffs(h).min() >= -1e-10
-            if by_eig != by_coeff:
-                # Both verdicts may only differ inside the tolerance band.
-                assert abs(hermitian_spectrum(h)[0]) < 1e-6
 
 
 class TestPsdVerdict:

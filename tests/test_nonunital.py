@@ -185,11 +185,10 @@ class TestOracleCrossValidation:
     def test_positivity_agrees_with_block_oracle_across_translations(self):
         # dense sweep against the see-saw block-positivity oracle; boundary
         # cells may be flagged marginal, disagreement is never allowed
-        from tensorstable.oracles import OracleConfig, region_scan
+        from tensorstable.oracles import region_scan
 
-        cfg = OracleConfig(restarts=8, sample_count=256)
         for t in (0.0, 0.4, 0.8):
-            rep = region_scan("nonunital-positive", steps=21, params={"t": t}, cfg=cfg)
+            rep = region_scan("nonunital-positive", steps=21, params={"t": t})
             assert rep.summary["disagree"] == 0, (t, rep.summary)
 
 

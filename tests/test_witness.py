@@ -3,12 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tensorstable.criteria import hyperboloid_point, is_2tsp, is_3tsp
-from tensorstable.linalg import HermitianOperator, kron, partial_trace, symmetric_linspace
+from tensorstable.linalg import HermitianOperator, kron, symmetric_linspace
 from tensorstable.maps import PauliMap, tensor_apply
 from tensorstable.witness import (
     NEGATIVITY_TOL,
+    SHRINK,
     MultiQubitState,
-    WitnessScanConfig,
     _certified,
     _dedupe,
     _scan_maps_n1,
@@ -43,8 +43,9 @@ class TestBuildState:
 
     def test_w3_reduction(self):
         s = build_state("w3", q=1.0)
-        red = partial_trace(s.rho, {0})
-        assert_allclose(red.matrix, np.diag([2 / 3, 1 / 3]), atol=1e-12)
+        # Trace out qubits 2 and 3, keeping qubit 1.
+        red = np.einsum("ajkbjk->ab", s.rho.matrix.reshape((2,) * 6))
+        assert_allclose(red, np.diag([2 / 3, 1 / 3]), atol=1e-12)
 
     def test_psi_plus(self):
         s = build_state("psi_plus", q=0.5)
@@ -148,14 +149,13 @@ class TestDepthWitness:
 
 class TestThresholdSearch:
     def test_deeper_detection_needs_more_purity(self):
-        cfg = WitnessScanConfig(steps=11)
-        r1 = threshold_search("ghz", 1, cfg)
-        r2 = threshold_search("ghz", 2, cfg)
+        r1 = threshold_search("ghz", 1, steps=11)
+        r2 = threshold_search("ghz", 2, steps=11)
         assert r1.q_star <= r2.q_star
         assert r1.witness is not None and r2.witness is not None
 
     def test_witness_is_certified_and_detects(self):
-        res = threshold_search("ghz", 2, WitnessScanConfig(steps=11))
+        res = threshold_search("ghz", 2, steps=11)
         assert is_2tsp(res.witness).satisfied
         state = build_state("ghz", min(res.q_star + 5e-3, 1.0))
         v = depth_witness(state, res.witness, n=2)
@@ -180,7 +180,7 @@ class TestThresholdSearch:
         ],
     )
     def test_exact_onset(self, family, n, witness):
-        res = threshold_search(family, n, WitnessScanConfig(steps=21))
+        res = threshold_search(family, n, steps=21)
         shrink = 1.0 if n == 1 else 1.0 - 1e-9
         assert_allclose(res.witness, np.array(witness) * shrink, rtol=0, atol=1e-15)
         assert res.q_star == self.STEPS_21_Q_STAR[family, n]
@@ -192,8 +192,8 @@ class TestThresholdSearch:
         assert below.lower_bound == 1
 
     def test_family_normalization(self):
-        a = threshold_search("ghz", 1, WitnessScanConfig(steps=5))
-        b = threshold_search("ghzDepol", 1, WitnessScanConfig(steps=5))
+        a = threshold_search("ghz", 1, steps=5)
+        b = threshold_search("ghzDepol", 1, steps=5)
         assert a.q_star == b.q_star
 
     def test_rejects_unknown_family(self):
@@ -207,15 +207,15 @@ class TestThresholdSearch:
     def test_no_witness_found(self):
         # a two-step boundary grid only produces unitary-conjugation maps,
         # which never detect anything
-        res = threshold_search("ghz", 2, WitnessScanConfig(steps=2))
+        res = threshold_search("ghz", 2, steps=2)
         assert res.q_star == 1.0
         assert res.witness is None
         assert res.neg_eig >= -NEGATIVITY_TOL
 
     @pytest.mark.parametrize("steps", [1, 0, -3])
-    def test_config_rejects_fewer_than_two_steps(self, steps):
+    def test_rejects_fewer_than_two_steps(self, steps):
         with pytest.raises(ValueError, match="steps"):
-            WitnessScanConfig(steps=steps)
+            threshold_search("ghz", 2, steps=steps)
 
 
 # Loop versions of the scan builders: the reference the array builders must
@@ -227,8 +227,8 @@ def _dedupe_loop(pts):
     return np.array(list(seen.values()))
 
 
-def _scan_maps_n1_loop(cfg):
-    grid = symmetric_linspace(-1.0, 1.0, cfg.steps)
+def _scan_maps_n1_loop(steps):
+    grid = symmetric_linspace(-1.0, 1.0, steps)
     pts = []
     for axis in range(3):
         for sign in (-1.0, 1.0):
@@ -242,30 +242,26 @@ def _scan_maps_n1_loop(cfg):
     return _dedupe_loop(np.array(pts))
 
 
-def _scan_maps_n2_loop(cfg):
-    grid = np.linspace(0.0, 1.0, cfg.steps)
+def _scan_maps_n2_loop(steps):
+    grid = np.linspace(0.0, 1.0, steps)
     transforms = variant_transforms()
     pts = []
     for x in grid:
         for y in grid:
             base = hyperboloid_point(x, y)
             for t in transforms:
-                pts.append((t @ base) * (1.0 - cfg.shrink))
+                pts.append((t @ base) * (1.0 - SHRINK))
     return _dedupe_loop(np.array(pts))
 
 
 class TestScanArrays:
-    CONFIGS = [WitnessScanConfig(steps=k) for k in (2, 5, 11, 21)] + [
-        WitnessScanConfig(steps=7, shrink=0.25)
-    ]
-
-    @pytest.mark.parametrize("cfg", CONFIGS)
+    @pytest.mark.parametrize("steps", [2, 5, 11, 21])
     @pytest.mark.parametrize(
         "build, reference",
         [(_scan_maps_n1, _scan_maps_n1_loop), (_scan_maps_n2, _scan_maps_n2_loop)],
     )
-    def test_builders_equal_loops_bytewise(self, cfg, build, reference):
-        got, want = build(cfg), reference(cfg)
+    def test_builders_equal_loops_bytewise(self, steps, build, reference):
+        got, want = build(steps), reference(steps)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
