@@ -69,7 +69,8 @@ class HermitianOperator:
     ----------
     matrix:
         Square array-like.  It is symmetrized to ``(m + m^dag)/2`` at
-        construction; a drift larger than ``1e-10`` raises ``ValueError``.
+        construction; a drift larger than ``1e-10`` or a non-finite entry
+        raises ``ValueError``.
     dims:
         Subsystem dimensions whose product equals the matrix dimension.
         Defaults to qubit factors ``(2,)*k`` for dimension ``2^k``.
@@ -81,6 +82,8 @@ class HermitianOperator:
         m = np.array(matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("operator entries must be finite")
         d = m.shape[0]
         if d & (d - 1):
             raise ValueError(f"dimension {d} is not a power of two")

@@ -324,6 +324,8 @@ class PauliDiagonalMap:
         c = np.asarray(coeffs, dtype=float)
         if c.shape != (4,) * c.ndim:
             raise ValueError("coefficients must have shape (4,)*n")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         self.coeffs = c.copy()
 
     @property

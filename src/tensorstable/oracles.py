@@ -1,11 +1,11 @@
 """Independent numerical oracles and parameter-region cross-validation.
 
-The closed-form criteria are checked against two optimization oracles:
-
-* :func:`block_positivity_min` minimizes a Choi quadratic form over product
-  vectors by alternating eigenvector descent (see-saw),
-* :func:`min_output_eig` minimizes the smallest output eigenvalue of a
-  tensor-product map over pure input states.
+The closed-form criteria are checked against one optimization oracle,
+:func:`block_positivity_min`: it minimizes a Choi quadratic form over
+product vectors by alternating eigenvector descent (see-saw).
+:func:`min_output_eig`, the smallest output eigenvalue of a tensor-product
+map over pure input states, is that same see-saw on the product map's Choi
+operator with the outputs on one side of the cut.
 
 Both return upper bounds on the true minimum; a negative value certifies a
 violation, values inside the marginal band ``(-1e-6, -1e-9)`` neither
@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -92,7 +93,6 @@ class SeeSawResult:
     phi: np.ndarray
     chi: np.ndarray
     history: np.ndarray  # (steps, restarts), non-increasing along axis 0
-    converged: bool
 
 
 def _random_unit(rng, n: int, dim: int) -> np.ndarray:
@@ -107,23 +107,39 @@ def _min_eigvecs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., 0].real, v[..., :, 0]
 
 
-def _see_saw(w4: np.ndarray, chi0: np.ndarray, cfg: OracleConfig) -> SeeSawResult:
+# Multiply-adds per matmul in a half-step.  OpenBLAS (0.3.31) runs a complex
+# gemm of 2**16 or more on a second thread, which at these sizes burns a core
+# and adds latency rather than saving time, so larger batches go in row blocks.
+_GEMM_BLOCK = 2**15
+
+
+def _half_step(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenpairs of ``W`` contracted with each row of ``v`` on one side.
+
+    ``w`` is the operator regrouped to ``(dv**2, d**2)``, so the contraction
+    is one matmul of the rows ``vec(conj(v) v^T)`` against it.
+    """
+    d = math.isqrt(w.shape[1])
+    x = (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+    rows = max(1, _GEMM_BLOCK // w.size)
+    m = np.concatenate([x[i : i + rows] @ w for i in range(0, len(x), rows)])
+    return _min_eigvecs(m.reshape(-1, d, d))
+
+
+def _see_saw(w_b, w_a, chi0: np.ndarray, max_iters: int) -> SeeSawResult:
     """Alternating eigenvector minimization of ``<phi chi|W|phi chi>``.
 
-    ``w4`` is the operator reshaped to ``(dA, dB, dA, dB)``; ``chi0`` is a
-    batch of starting vectors on the B side.
+    ``w_b`` and ``w_a`` are the operator regrouped to ``(dB**2, dA**2)`` and
+    ``(dA**2, dB**2)``; ``chi0`` is a batch of starting vectors on the B side.
     """
     chi = chi0
-    phi = None
     values = None
     history = []
     converged = np.zeros(len(chi0), dtype=bool)
-    for _ in range(cfg.max_iters):
-        ma = np.einsum("abcd,rb,rd->rac", w4, chi.conj(), chi, optimize=False)
-        va, phi = _min_eigvecs(ma)
+    for _ in range(max_iters):
+        va, phi = _half_step(w_b, chi)
         history.append(va)
-        mb = np.einsum("abcd,ra,rc->rbd", w4, phi.conj(), phi, optimize=False)
-        vb, chi = _min_eigvecs(mb)
+        vb, chi = _half_step(w_a, phi)
         history.append(vb)
         if values is not None:
             converged |= np.abs(vb - values) < CONVERGENCE_TOL
@@ -133,15 +149,11 @@ def _see_saw(w4: np.ndarray, chi0: np.ndarray, cfg: OracleConfig) -> SeeSawResul
     best = int(np.argmin(values))
     if not converged.any():
         raise ConvergenceError(
-            f"see-saw did not converge in {cfg.max_iters} iterations",
+            f"see-saw did not converge in {max_iters} iterations",
             best=float(values[best]),
         )
     return SeeSawResult(
-        value=float(values[best]),
-        phi=phi[best],
-        chi=chi[best],
-        history=np.array(history),
-        converged=bool(converged[best]),
+        value=float(values[best]), phi=phi[best], chi=chi[best], history=np.array(history)
     )
 
 
@@ -157,7 +169,8 @@ def block_positivity_min(
     spanned by ``chi``.  Restarts mix eigenvectors of the partially
     contracted operator with random unit vectors.  The result is an upper
     bound on the true minimum: a negative value certifies that ``omega`` is
-    not block-positive.
+    not block-positive.  Raises :class:`ConvergenceError` when no restart
+    converges within ``cfg.max_iters`` iterations.
     """
     cfg = cfg or OracleConfig()
     cut = sorted(set(int(k) for k in cut))
@@ -171,6 +184,8 @@ def block_positivity_min(
     perm = cut + rest
     axes = perm + [n + k for k in perm]
     w4 = omega.matrix.reshape(dims + dims).transpose(axes).reshape(da, db, da, db)
+    w_b = np.ascontiguousarray(w4.transpose(1, 3, 0, 2).reshape(db * db, da * da))
+    w_a = np.ascontiguousarray(w_b.T)
 
     rng = np.random.default_rng(cfg.seed)
     # Restarts mix eigenvectors of the partially contracted operator with
@@ -181,93 +196,32 @@ def block_positivity_min(
     n_eig = min(db, max(cfg.restarts // 2, 1))
     n_rand = max(cfg.restarts - n_eig, 1)
     samples = _random_unit(rng, cfg.sample_count, db)
-    ma = np.einsum("abcd,rb,rd->rac", w4, samples.conj(), samples, optimize=False)
-    scores, _ = _min_eigvecs(ma)
+    scores, _ = _half_step(w_b, samples)
     inits = [samples[np.argsort(scores)[:n_rand]], vecs.T[:n_eig]]
     # When either side is a pair of equal factors, seed with the maximally
     # entangled pairing (for Choi operators of doubled maps the violating
     # product vector sits exactly there).
-    ent = _entangled_inits(w4, [dims[k] for k in cut], [dims[k] for k in rest])
-    if ent is not None:
-        inits.append(ent)
-    result = _see_saw(w4, np.concatenate(inits), cfg)
+    dims_a, dims_b = [dims[k] for k in cut], [dims[k] for k in rest]
+    if len(dims_b) == 2 and dims_b[0] == dims_b[1]:
+        inits.append(np.eye(dims_b[0]).reshape(1, -1) / np.sqrt(dims_b[0]))
+    if len(dims_a) == 2 and dims_a[0] == dims_a[1]:
+        phi = np.eye(dims_a[0]).reshape(1, -1) / np.sqrt(dims_a[0])
+        inits.append(_half_step(w_a, phi)[1])
+    result = _see_saw(w_b, w_a, np.concatenate(inits), cfg.max_iters)
     return result if full_output else result.value
 
 
-def _entangled_inits(w4, dims_a, dims_b) -> np.ndarray | None:
-    chis = []
-    if len(dims_b) == 2 and dims_b[0] == dims_b[1]:
-        chis.append(np.eye(dims_b[0]).reshape(-1) / np.sqrt(dims_b[0]))
-    if len(dims_a) == 2 and dims_a[0] == dims_a[1]:
-        phi = np.eye(dims_a[0]).reshape(-1) / np.sqrt(dims_a[0])
-        mb = np.einsum("abcd,a,c->bd", w4, phi.conj(), phi, optimize=False)
-        _, v = np.linalg.eigh((mb + mb.conj().T) / 2)
-        chis.append(v[:, 0])
-    if not chis:
-        return None
-    return np.array(chis)
-
-
-def _tensor_superop(maps) -> np.ndarray:
-    """Row-major superoperator of the tensor product of qubit maps: the outer
-    product of the single-map superoperators, with row and column indices regrouped."""
-    n = len(maps)
-    s = maps[0].superop()
-    for m in maps[1:]:
-        s = np.multiply.outer(s, m.superop())
-    order = [4 * k + j for j in range(4) for k in range(n)]
-    return s.reshape((2,) * (4 * n)).transpose(order).reshape(4**n, 4**n)
-
-
-def min_output_eig(
-    maps,
-    cfg: OracleConfig | None = None,
-    full_output: bool = False,
-):
+def min_output_eig(maps, cfg: OracleConfig | None = None) -> float:
     """Approximate ``min`` over pure inputs of the smallest output eigenvalue.
 
-    Samples ``cfg.sample_count`` Haar-like pure states of ``len(maps)``
-    qubits, then refines the best candidates by alternating eigenvector
-    descent on the bilinear form ``<v|(tensor maps)[psi psi*]|v>``.  Returns
-    an upper bound on the true minimum.  The product's superoperator is built
-    once, as the outer product of the single-map superoperators.
+    For unit ``v`` and ``psi``, ``<v|(tensor maps)[psi psi*]|v>`` is ``2**n``
+    times the product map's Choi operator evaluated at ``v x psi*``, with
+    ``v`` on the output factors ``0, 2, ...``.  So this is the see-saw of
+    :func:`block_positivity_min` with the outputs on one side of the cut, and
+    returns an upper bound on the true minimum.
     """
-    cfg = cfg or OracleConfig()
     n = len(maps)
-    d = 2**n
-    s = _tensor_superop(maps)
-    s_adj = s.conj().T
-    rng = np.random.default_rng(cfg.seed)
-
-    psis = _random_unit(rng, cfg.sample_count, d)
-    rhos = np.einsum("ra,rb->rab", psis, psis.conj()).reshape(-1, d * d)
-    outs = (rhos @ s.T).reshape(-1, d, d)
-    vals, _ = _min_eigvecs(outs)
-    order = np.argsort(vals)
-    # Descend from the best candidates plus fresh random states; the best
-    # samples tend to cluster in one basin of the bilinear landscape.
-    n_best = min((cfg.restarts + 1) // 2, cfg.sample_count)
-    keep = order[:n_best]
-
-    psi = np.concatenate([psis[keep], _random_unit(rng, cfg.restarts - n_best, d)])
-    values = None
-    history = []
-    for _ in range(cfg.max_iters):
-        rho = np.einsum("ra,rb->rab", psi, psi.conj()).reshape(-1, d * d)
-        outs = (rho @ s.T).reshape(-1, d, d)
-        vout, v = _min_eigvecs(outs)
-        history.append(vout)
-        done = values is not None and np.abs(vout - values).max() < CONVERGENCE_TOL
-        values = vout
-        if done:
-            break
-        proj = np.einsum("ra,rb->rab", v, v.conj()).reshape(-1, d * d)
-        kmats = (proj @ s_adj.T).reshape(-1, d, d)
-        _, psi = _min_eigvecs(kmats)
-    i = int(np.argmin(values))
-    if not full_output:
-        return float(values[i])
-    return float(values[i]), psi[i], np.array(history)
+    return 2**n * block_positivity_min(choi(maps), cut=range(0, 2 * n, 2), cfg=cfg)
 
 
 # Analytic slacks this close to zero sit on a criterion boundary; the sign

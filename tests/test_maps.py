@@ -469,8 +469,18 @@ class TestJson:
         lambda v: GeneralQubitMap(np.diag([1.0, 0.5, 0.5, v])),
         lambda v: NonUnitalFamilyMap(v, (0.5, 0.5, 0.0)),
         lambda v: NonUnitalFamilyMap(0.2, (0.5, v, 0.0)),
+        lambda v: HermitianOperator(np.diag([v, 0.5, 0.5, 0.0])),
+        lambda v: PauliDiagonalMap([1.0, 0.5, 0.5, v]),
     ],
-    ids=["as_lambda_point", "PauliMap", "GeneralQubitMap", "NonUnitalFamilyMap.t", "NonUnitalFamilyMap.lam3"],
+    ids=[
+        "as_lambda_point",
+        "PauliMap",
+        "GeneralQubitMap",
+        "NonUnitalFamilyMap.t",
+        "NonUnitalFamilyMap.lam3",
+        "HermitianOperator",
+        "PauliDiagonalMap",
+    ],
 )
 def test_non_finite_input_is_rejected_where_it_enters(build, bad):
     with pytest.raises(ValueError, match="finite"):

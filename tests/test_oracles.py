@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from tensorstable.linalg import ConvergenceError, symmetric_linspace
+from tensorstable.criteria import is_3tsp
+from tensorstable.linalg import ConvergenceError, HermitianOperator, symmetric_linspace
 from tensorstable.maps import GeneralQubitMap, PauliMap, choi, classify, tensor_apply
 from tensorstable.oracles import (
     OracleConfig,
-    _tensor_superop,
     block_positivity_min,
     decomposability_fixtures,
     ex2_family,
@@ -92,42 +92,6 @@ class TestBlockPositivity:
             block_positivity_min(om, (0, 1, 2, 3), FAST)
 
 
-def column_loop_superop(maps):
-    """Superoperator built one basis column at a time with per-factor tensordots."""
-    n = len(maps)
-    d = 2**n
-    tensors = [m.superop().reshape(2, 2, 2, 2) for m in maps]
-    s = np.zeros((d * d, d * d), dtype=np.complex128)
-    for col in range(d * d):
-        a, b = divmod(col, d)
-        x = np.zeros((d, d), dtype=np.complex128)
-        x[a, b] = 1.0
-        t = x.reshape((2,) * (2 * n))
-        for k, tk in enumerate(tensors):
-            t = np.tensordot(tk, t, axes=[[2, 3], [k, n + k]])
-            t = np.moveaxis(t, [0, 1], [k, n + k])
-        s[:, col] = t.reshape(-1)
-    return s
-
-
-class TestTensorSuperop:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_pauli_maps_equal_column_loop(self, n):
-        maps = [PauliMap(tuple(RNG.uniform(-1, 1, 4))) for _ in range(n)]
-        assert np.array_equal(_tensor_superop(maps), column_loop_superop(maps))
-
-    def test_depolarizing_pair_equals_column_loop(self):
-        maps = [PauliMap.depolarizing(0.35), PauliMap.depolarizing(-0.8)]
-        assert np.array_equal(_tensor_superop(maps), column_loop_superop(maps))
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_general_maps_match_column_loop(self, n):
-        # Complex entries: BLAS and elementwise complex products may round
-        # differently, so agreement is to the last bit rather than bitwise.
-        maps = [GeneralQubitMap(RNG.uniform(-1, 1, (4, 4))) for _ in range(n)]
-        assert np.abs(_tensor_superop(maps) - column_loop_superop(maps)).max() < 1e-15
-
-
 class TestMinOutputEig:
     def test_identity_pair(self):
         v = min_output_eig([PauliMap.identity()] * 2, FAST)
@@ -163,12 +127,32 @@ class TestMinOutputEig:
             m = PauliMap.unital(lam3)
             assert min_output_eig([m, m], cfg) >= -1e-9
 
-    def test_full_output_state(self):
-        v, psi, history = min_output_eig(
-            [PauliMap.unital((1.0, 1.0, 0.5))] * 2, FAST, full_output=True
-        )
-        assert abs(np.linalg.norm(psi) - 1) < 1e-12
-        assert np.diff(history, axis=0).max() <= 1e-13
+    def test_iteration_cap_raises_with_finite_best(self):
+        cfg = dataclasses.replace(FAST, max_iters=1)
+        m = PauliMap.unital((0.5, 0.5, 0.5))
+        with pytest.raises(ConvergenceError) as err:
+            min_output_eig([m, m], cfg)
+        assert np.isfinite(err.value.best)
+
+    def test_see_saw_vectors_witness_an_output_eigenvalue(self):
+        # phi sits on the output factors, conj(chi) is the pure input.
+        rng = np.random.default_rng(5)
+        m1, m2 = (GeneralQubitMap(rng.uniform(-1, 1, (4, 4))) for _ in range(2))
+        res = block_positivity_min(choi([m1, m2]), (0, 2), FAST, full_output=True)
+        chi = res.chi.conj()
+        out = tensor_apply([m1, m2], HermitianOperator(np.outer(chi, chi.conj())))
+        assert abs((res.phi.conj() @ out.matrix @ res.phi).real - 4 * res.value) < 1e-12
+
+    def test_three_tsp_triples_stay_positive(self):
+        rng = np.random.default_rng(11)
+        count = 0
+        while count < 10:
+            lam3 = rng.uniform(-1, 1, 3)
+            if not is_3tsp(lam3).satisfied:
+                continue
+            count += 1
+            cfg = dataclasses.replace(FAST, seed=count)
+            assert min_output_eig([PauliMap.unital(lam3)] * 3, cfg) >= -1e-9
 
 
 class TestRegionScan:
