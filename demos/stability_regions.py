@@ -40,7 +40,7 @@ def doubled_min_eig(t):
     return tensor_apply([m, m], psi).min_eig()
 
 
-variants = ghz_variants(3)
+variants = ghz_variants()
 
 
 def tripled_min_eig(t):

@@ -16,7 +16,7 @@ from tensorstable import (
     reduce_to_unital,
 )
 from tensorstable.linalg import SIGMA
-from tensorstable.maps import PauliMap
+from tensorstable.maps import GeneralQubitMap, PauliMap
 
 print("reduction to unital form")
 for t, lam3 in [(0.0, (0.3, -0.5, 0.7)), (0.5, (0.4, 0.2, 0.1)), (0.8, (0.0, 0.0, 0.0))]:
@@ -30,7 +30,7 @@ m = NonUnitalFamilyMap(t=0.6, lam3=(0.25, -0.15, 0.2))
 rr = reduce_to_unital(m)
 a, b = np.linalg.inv(rr.a_inv), np.linalg.inv(rr.b_inv)
 pauli = PauliMap(tuple(rr.tilde_lam))
-gen = m.to_general()
+gen = GeneralQubitMap(m.matrix)
 residual = max(
     np.abs(b @ pauli.apply(a @ s @ a.conj().T) @ b.conj().T - gen.apply(s)).max()
     for s in SIGMA

@@ -23,6 +23,8 @@ from .linalg import (
     SIGMA,
     ConvergenceError,
     HermitianOperator,
+    OracleConfig,
+    block_positivity_min,
     hermitian_spectrum,
     kron,
     partial_transpose,
@@ -52,9 +54,7 @@ from .nonunital import (
     reduce_to_unital,
 )
 from .oracles import (
-    OracleConfig,
     RegionScanReport,
-    block_positivity_min,
     decomposability_fixtures,
     min_output_eig,
     region_scan,

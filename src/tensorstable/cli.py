@@ -1,17 +1,15 @@
 """Command-line front end: classification, region scans, lifting, witnessing.
 
 Exit codes: 0 success, 1 malformed input, 2 domain error, 3 numeric error.
-Output is deterministic for a fixed (command line, seed); ``region`` and
-``verify`` pass ``--seed`` to ``region_scan(..., seed=)``, and the environment
-variable ``TSP_SEED`` overrides it.  ``witness --steps`` is the resolution
-``threshold_search(..., steps=)`` scans its maps at.
+Output is deterministic for a fixed command line; ``region`` and ``verify``
+pass ``--seed`` to ``region_scan(..., seed=)``.  ``witness --steps`` is the
+resolution ``threshold_search(..., steps=)`` scans its maps at.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -24,10 +22,9 @@ from .criteria import (
     ntsp_necessary,
     ntsp_sufficient_ball,
 )
-from .linalg import ConvergenceError
-from .maps import PauliMap, classify, map_from_json
+from .linalg import BOUNDARY_TOL, ConvergenceError
+from .maps import GeneralQubitMap, PauliMap, classify, map_from_json
 from .nonunital import (
-    BOUNDARY_TOL,
     NonUnitalFamilyMap,
     classify_nonunital_positive,
     ghz_output_conditions,
@@ -119,7 +116,7 @@ def _cmd_classify(args) -> dict:
         if args.t is not None:
             if lam[0] != 1.0:
                 raise ValueError("translated maps require l0 = 1")
-            m = NonUnitalFamilyMap(t=args.t, lam3=lam[1:]).to_general()
+            m = GeneralQubitMap(NonUnitalFamilyMap(t=args.t, lam3=lam[1:]).matrix)
         else:
             m = PauliMap(lam)
 
@@ -224,7 +221,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--criterion", required=True, choices=region_criteria())
         p.add_argument("--grid", type=int, default=None, help="steps per axis")
         p.add_argument("--t", type=_finite_float, default=None, help="family translation parameter")
-        p.add_argument("--seed", type=int, default=0, help="oracle seed (TSP_SEED overrides)")
+        p.add_argument("--seed", type=int, default=0, help="oracle seed")
         common(p)
 
     p = sub.add_parser("classify", help="classify a qubit map and run all criteria")
@@ -270,11 +267,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if "TSP_SEED" in os.environ and hasattr(args, "seed"):
-            try:
-                args.seed = int(os.environ["TSP_SEED"])
-            except ValueError:
-                raise _UsageError(f"bad TSP_SEED value {os.environ['TSP_SEED']!r}") from None
         if args.command == "classify":
             _emit(_cmd_classify(args), args)
         elif args.command == "region":

@@ -2,7 +2,7 @@
 
 A map is given by its Bloch scalings ``(l1, l2, l3)`` with ``l0 = 1``
 (:data:`LambdaPoint` below).  All criteria are evaluated with exact float
-arithmetic on the inputs; numerical tolerances live only in the oracle
+arithmetic on the inputs; numerical tolerances live only in the linalg
 module.
 """
 

@@ -1,13 +1,15 @@
-"""Dense complex linear-algebra kernel for small multi-qubit operators.
+"""Dense linear algebra on small multi-qubit operators, the see-saw, every tolerance.
 
-Everything here works on plain ``numpy`` arrays (complex128) plus a thin
-:class:`HermitianOperator` wrapper that carries tensor-factor bookkeeping.
-All desk-scale uses are at most 64x64 (six qubits), so dense LAPACK routines
-are used throughout.
+Plain ``numpy`` arrays (complex128, at most 64x64, so dense LAPACK throughout)
+plus a thin :class:`HermitianOperator` wrapper with tensor-factor bookkeeping.
+:func:`block_positivity_min` minimizes an operator's quadratic form over
+product vectors by alternating eigenvector descent (see-saw).
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -16,6 +18,9 @@ __all__ = [
     "SIGMA",
     "ConvergenceError",
     "HermitianOperator",
+    "OracleConfig",
+    "SeeSawResult",
+    "block_positivity_min",
     "hermitian_spectrum",
     "kron",
     "kron_all",
@@ -40,9 +45,24 @@ HERMITIZE_TOL = 1e-10
 PSD_CONFIRM_TOL = 1e-9
 PSD_REFUTE_TOL = 1e-6
 
-# An oracle restart has converged once its value moves by less than this
-# between iterations.
+# A see-saw restart has converged once its value moves by less than this
+# between iterations; with none converged after MAX_ITERS it raises.
 CONVERGENCE_TOL = 1e-12
+MAX_ITERS = 500
+
+# Region-scan slacks this close to zero sit on a criterion boundary, below
+# any oracle's resolution.
+ANALYTIC_BAND = 1e-9
+# Matrix entries this close to a pattern match it (unital, TP, family shape).
+MATRIX_ATOL = 1e-12
+# Translated-family inputs this close to 1 - |t| - |l3| = 0 take the boundary
+# branch; the interior formulas degenerate there (a_- -> 0).
+BOUNDARY_TOL = 1e-12
+# A depth witness detects below -NEGATIVITY_TOL; a state's trace is 1 within
+# STATE_TRACE_TOL and its eigenvalues are at least -STATE_PSD_TOL.
+NEGATIVITY_TOL = 1e-9
+STATE_TRACE_TOL = 1e-12
+STATE_PSD_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -185,3 +205,137 @@ def symmetric_linspace(lo: float, hi: float, steps: int) -> np.ndarray:
     mid = (lo + hi) / 2.0
     offsets = np.arange(steps) - (steps - 1) / 2.0
     return offsets * ((hi - lo) / (steps - 1)) + mid
+
+
+@dataclass(frozen=True)
+class OracleConfig:
+    """Budget of the see-saw; deterministic given ``seed``."""
+
+    restarts: int = 64
+    seed: int = 0
+    sample_count: int = 4096
+
+    def __post_init__(self):
+        if self.restarts < 1 or self.sample_count < 1:
+            raise ValueError("counts must be >= 1")
+
+
+@dataclass(frozen=True)
+class SeeSawResult:
+    """Full see-saw output: best value, witnessing vectors, value history."""
+
+    value: float
+    phi: np.ndarray
+    chi: np.ndarray
+    history: np.ndarray  # (steps, restarts), non-increasing along axis 0
+
+
+def _random_unit(rng, n: int, dim: int) -> np.ndarray:
+    v = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+# Multiply-adds per matmul in a half-step.  OpenBLAS (0.3.31) runs a complex
+# gemm of 2**16 or more on a second thread, which at these sizes burns a core
+# and adds latency rather than saving time, so larger batches go in row blocks.
+_GEMM_BLOCK = 2**15
+
+
+def _half_step(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenpairs of ``W`` contracted with each row of ``v`` on one side.
+
+    ``w`` is the operator regrouped to ``(dv**2, d**2)``, so the contraction
+    is one matmul of the rows ``vec(conj(v) v^T)`` against it, and one
+    batched ``eigh`` of the symmetrized results.
+    """
+    d = math.isqrt(w.shape[1])
+    x = (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+    rows = max(1, _GEMM_BLOCK // w.size)
+    m = np.concatenate([x[i : i + rows] @ w for i in range(0, len(x), rows)]).reshape(-1, d, d)
+    vals, vecs = np.linalg.eigh((m + np.conj(np.swapaxes(m, -1, -2))) / 2)
+    return vals[..., 0].real, vecs[..., :, 0]
+
+
+def _see_saw(w_b, w_a, chi0: np.ndarray) -> SeeSawResult:
+    """Alternating eigenvector minimization of ``<phi chi|W|phi chi>``.
+
+    ``w_b`` and ``w_a`` are the operator regrouped to ``(dB**2, dA**2)`` and
+    ``(dA**2, dB**2)``; ``chi0`` is a batch of starting vectors on the B side.
+    """
+    chi = chi0
+    values = None
+    history = []
+    converged = np.zeros(len(chi0), dtype=bool)
+    for _ in range(MAX_ITERS):
+        va, phi = _half_step(w_b, chi)
+        history.append(va)
+        vb, chi = _half_step(w_a, phi)
+        history.append(vb)
+        if values is not None:
+            converged |= np.abs(vb - values) < CONVERGENCE_TOL
+        values = vb
+        if converged.all():
+            break
+    best = int(np.argmin(values))
+    if not converged.any():
+        raise ConvergenceError(
+            f"see-saw did not converge in {MAX_ITERS} iterations",
+            best=float(values[best]),
+        )
+    return SeeSawResult(
+        value=float(values[best]), phi=phi[best], chi=chi[best], history=np.array(history)
+    )
+
+
+def block_positivity_min(
+    omega: HermitianOperator,
+    cut: Sequence[int],
+    cfg: OracleConfig | None = None,
+    full_output: bool = False,
+):
+    """Approximate minimum of ``<phi x chi|Omega|phi x chi>`` over unit products.
+
+    ``cut`` lists the tensor factors spanned by ``phi``; the complement is
+    spanned by ``chi``.  Restarts mix eigenvectors of the partially
+    contracted operator with random unit vectors.  The result is an upper
+    bound on the true minimum: a negative value certifies that ``omega`` is
+    not block-positive.  Raises :class:`ConvergenceError` when no restart
+    converges within :data:`MAX_ITERS` iterations.
+    """
+    cfg = cfg or OracleConfig()
+    cut = sorted(set(int(k) for k in cut))
+    n = omega.nfactors
+    if not cut or cut[-1] >= n or cut[0] < 0 or len(cut) == n:
+        raise ValueError(f"cut must be a proper nonempty subset of range({n})")
+    rest = [k for k in range(n) if k not in cut]
+    dims = omega.dims
+    da = int(np.prod([dims[k] for k in cut]))
+    db = int(np.prod([dims[k] for k in rest]))
+    perm = cut + rest
+    axes = perm + [n + k for k in perm]
+    w4 = omega.matrix.reshape(dims + dims).transpose(axes).reshape(da, db, da, db)
+    w_b = np.ascontiguousarray(w4.transpose(1, 3, 0, 2).reshape(db * db, da * da))
+    w_a = np.ascontiguousarray(w_b.T)
+
+    rng = np.random.default_rng(cfg.seed)
+    # Restarts mix eigenvectors of the partially contracted operator with
+    # random vectors, the latter pre-scored by their optimal phi response
+    # (the landscape has local minima near criterion boundaries).
+    contracted = np.einsum("abad->bd", w4)
+    _, vecs = np.linalg.eigh((contracted + contracted.conj().T) / 2)
+    n_eig = min(db, max(cfg.restarts // 2, 1))
+    n_rand = max(cfg.restarts - n_eig, 1)
+    samples = _random_unit(rng, cfg.sample_count, db)
+    scores, _ = _half_step(w_b, samples)
+    inits = [samples[np.argsort(scores)[:n_rand]], vecs.T[:n_eig]]
+    # When either side is a pair of equal factors, seed with the maximally
+    # entangled pairing (for Choi operators of doubled maps the violating
+    # product vector sits exactly there).
+    dims_a, dims_b = [dims[k] for k in cut], [dims[k] for k in rest]
+    if len(dims_b) == 2 and dims_b[0] == dims_b[1]:
+        inits.append(np.eye(dims_b[0]).reshape(1, -1) / np.sqrt(dims_b[0]))
+    if len(dims_a) == 2 and dims_a[0] == dims_a[1]:
+        phi = np.eye(dims_a[0]).reshape(1, -1) / np.sqrt(dims_a[0])
+        inits.append(_half_step(w_a, phi)[1])
+    result = _see_saw(w_b, w_a, np.concatenate(inits))
+    return result if full_output else result.value

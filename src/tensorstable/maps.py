@@ -20,14 +20,18 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    MATRIX_ATOL,
     PSD_CONFIRM_TOL,
     SIGMA,
     HermitianOperator,
+    OracleConfig,
+    block_positivity_min,
     hermitian_spectrum,
     kron,
     partial_transpose,
     psd_verdict,
 )
+from .nonunital import NonUnitalFamilyMap, classify_nonunital_positive
 
 __all__ = [
     "H4",
@@ -287,11 +291,19 @@ def _pauli_product(e, x, diagonal: bool = False) -> np.ndarray:
     return _permute_tail(t.reshape(lead + (2,) * (2 * n)), np.argsort(pairs)).reshape(lead + (2**n, 2**n))
 
 
+# Coefficient-table entries (4**n per row) that _power_min_eigs evaluates at
+# once, so its complex intermediates stay near 4 MB each whatever the rows.
+_POWER_BLOCK = 2**18
+
+
 def _power_min_eigs(lams, rho) -> np.ndarray:
     """Smallest eigenvalue of ``Phi_lam^{(x)n}[rho]`` for each row of an ``(m, 4)``
     stack of Pauli-map lambdas; ``n`` is read from the ``2**n``-dimensional ``rho``."""
     lams = np.asarray(lams, dtype=float)
     n = np.shape(rho)[-1].bit_length() - 1
+    rows = max(1, _POWER_BLOCK // 4**n)
+    if len(lams) > rows:
+        return np.concatenate([_power_min_eigs(lams[i : i + rows], rho) for i in range(0, len(lams), rows)])
     # Coefficient table of the n-fold power: table[r, i1, ..., in] = prod_k lams[r, ik].
     table = lams
     for k in range(1, n):
@@ -384,11 +396,10 @@ def classify(m) -> ClassificationReport:
     translated-family conditions when the matrix has that shape and the
     numeric block-positivity oracle otherwise (the report records which).
     """
-    atol = 1e-12
     e = np.asarray(m.matrix, dtype=float)
     # rtol=0: the default relative tolerance (1e-5) would swamp atol at the 1.
-    unital = bool(np.allclose(e[:, 0], [1, 0, 0, 0], rtol=0, atol=atol))
-    tp = bool(np.allclose(e[0, :], [1, 0, 0, 0], rtol=0, atol=atol))
+    unital = bool(np.allclose(e[:, 0], [1, 0, 0, 0], rtol=0, atol=MATRIX_ATOL))
+    tp = bool(np.allclose(e[0, :], [1, 0, 0, 0], rtol=0, atol=MATRIX_ATOL))
     margins: dict = {}
 
     if isinstance(m, PauliMap) or (isinstance(m, GeneralQubitMap) and m.is_diagonal() and unital):
@@ -398,53 +409,39 @@ def classify(m) -> ClassificationReport:
         positive = bool(lam[0] >= 0 and np.max(np.abs(lam[1:])) <= lam[0])
         cp = bool(q.min() >= 0)
         ccp = bool(q_ccp.min() >= 0)
+        eb = cp and ccp
         margins["positivity"] = float(min(lam[0], (lam[0] - np.abs(lam[1:])).min()))
         margins["cp"] = float(q.min())
         margins["ccp"] = float(q_ccp.min())
         margins["eb"] = float(min(q.min(), q_ccp.min()))
-        return ClassificationReport(
-            unital=unital,
-            trace_preserving=tp,
-            positive=positive,
-            cp=cp,
-            ccp=ccp,
-            eb=cp and ccp,
-            margins=margins,
-            positivity_method="pauli-closed-form",
-        )
-
-    omega = choi(m)
-    omega_eigs = hermitian_spectrum(omega)
-    cp = psd_verdict(omega_eigs) == "psd"
-    omega_ccp = choi(compose(PauliMap.transposition(), m))
-    ccp_eigs = hermitian_spectrum(omega_ccp)
-    ccp = psd_verdict(ccp_eigs) == "psd"
-    pt_eigs = hermitian_spectrum(partial_transpose(omega, [1]))
-    eb = cp and psd_verdict(pt_eigs) == "psd"
-    margins["cp"] = float(omega_eigs[0])
-    margins["ccp"] = float(ccp_eigs[0])
-    margins["eb"] = float(min(omega_eigs[0], pt_eigs[0]))
-
-    translated_family = (
-        tp
-        and np.allclose(e[1:3, 0], 0, atol=atol)
-        and np.allclose(e - np.diag(np.diag(e)) - e[3, 0] * _E30, 0, atol=atol)
-    )
-    if translated_family:
-        from .nonunital import NonUnitalFamilyMap, classify_nonunital_positive
-
-        fam = NonUnitalFamilyMap(t=float(e[3, 0]), lam3=tuple(np.diag(e)[1:]))
-        verdict = classify_nonunital_positive(fam)
-        positive = verdict.satisfied
-        margins["positivity"] = verdict.worst_slack
-        method = "nonunital-closed-form"
+        method = "pauli-closed-form"
     else:
-        from .oracles import OracleConfig, block_positivity_min
-
-        value = block_positivity_min(omega, cut=(0,), cfg=OracleConfig(restarts=16))
-        positive = value >= -PSD_CONFIRM_TOL
-        margins["positivity"] = float(value)
-        method = "numeric-block-positivity"
+        omega = choi(m)
+        omega_eigs = hermitian_spectrum(omega)
+        cp = psd_verdict(omega_eigs) == "psd"
+        ccp_eigs = hermitian_spectrum(choi(compose(PauliMap.transposition(), m)))
+        ccp = psd_verdict(ccp_eigs) == "psd"
+        pt_eigs = hermitian_spectrum(partial_transpose(omega, [1]))
+        eb = cp and psd_verdict(pt_eigs) == "psd"
+        margins["cp"] = float(omega_eigs[0])
+        margins["ccp"] = float(ccp_eigs[0])
+        margins["eb"] = float(min(omega_eigs[0], pt_eigs[0]))
+        translated_family = (
+            tp
+            and np.allclose(e[1:3, 0], 0, atol=MATRIX_ATOL)
+            and np.allclose(e - np.diag(np.diag(e)) - e[3, 0] * _E30, 0, atol=MATRIX_ATOL)
+        )
+        if translated_family:
+            fam = NonUnitalFamilyMap(t=float(e[3, 0]), lam3=tuple(np.diag(e)[1:]))
+            verdict = classify_nonunital_positive(fam)
+            positive = verdict.satisfied
+            margins["positivity"] = verdict.worst_slack
+            method = "nonunital-closed-form"
+        else:
+            value = block_positivity_min(omega, cut=(0,), cfg=OracleConfig(restarts=16))
+            positive = value >= -PSD_CONFIRM_TOL
+            margins["positivity"] = float(value)
+            method = "numeric-block-positivity"
 
     return ClassificationReport(
         unital=unital,

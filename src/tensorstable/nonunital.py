@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import CriterionVerdict, _verdict
-from .maps import GeneralQubitMap
+from .linalg import BOUNDARY_TOL
 
 __all__ = [
     "NonUnitalFamilyMap",
@@ -32,10 +32,6 @@ __all__ = [
     "is_2tsp_nonunital",
     "reduce_to_unital",
 ]
-
-# Inputs this close to 1 - |t| - |l3| = 0 take the boundary branch; the
-# interior formulas degenerate there (a_- -> 0).
-BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,10 +52,10 @@ class NonUnitalFamilyMap:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.to_general().matrix
-
-    def to_general(self) -> GeneralQubitMap:
-        return GeneralQubitMap.from_translation((0.0, 0.0, self.t), self.lam3)
+        """The real 4x4 Pauli-basis matrix ``E`` shown in the module docstring."""
+        e = np.diag([1.0, *self.lam3])
+        e[3, 0] = self.t
+        return e
 
     def interior_gap(self) -> float:
         """Slack of the strict positivity-cone condition ``1 - |t| - |l3|``."""

@@ -1,8 +1,8 @@
 """Independent numerical oracles and parameter-region cross-validation.
 
-The closed-form criteria are checked against one optimization oracle,
-:func:`block_positivity_min`: it minimizes a Choi quadratic form over
-product vectors by alternating eigenvector descent (see-saw).
+The closed-form criteria are checked against one optimization oracle, the
+see-saw ``linalg.block_positivity_min``: it minimizes a Choi quadratic form
+over product vectors by alternating eigenvector descent.
 :func:`min_output_eig`, the smallest output eigenvalue of a tensor-product
 map over pure input states, is that same see-saw on the product map's Choi
 operator with the outputs on one side of the cut.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,14 +25,17 @@ import numpy as np
 
 from .criteria import CriterionVerdict, depolarizing_pair_positive, is_2tsp, is_3tsp
 from .linalg import (
-    CONVERGENCE_TOL,
+    ANALYTIC_BAND,
+    BOUNDARY_TOL,
     PSD_CONFIRM_TOL,
     PSD_REFUTE_TOL,
-    ConvergenceError,
     HermitianOperator,
+    OracleConfig,
+    block_positivity_min,
     symmetric_linspace,
 )
 from .maps import (
+    GeneralQubitMap,
     PauliDiagonalMap,
     PauliMap,
     _power_min_eigs,
@@ -43,7 +45,6 @@ from .maps import (
     tensor_apply,
 )
 from .nonunital import (
-    BOUNDARY_TOL,
     NonUnitalFamilyMap,
     classify_nonunital_positive,
     ghz_output_conditions,
@@ -53,11 +54,8 @@ from .nonunital import (
 
 __all__ = [
     "DecomposabilityReport",
-    "OracleConfig",
     "REGION_SCAN_CONFIG",
     "RegionScanReport",
-    "SeeSawResult",
-    "block_positivity_min",
     "decomposability_fixtures",
     "ex2_family",
     "min_output_eig",
@@ -67,148 +65,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Knobs for the numerical oracles; deterministic given ``seed``."""
-
-    restarts: int = 64
-    max_iters: int = 500
-    seed: int = 0
-    sample_count: int = 4096
-
-    def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1 or self.sample_count < 1:
-            raise ValueError("counts must be >= 1")
-
-
 # Oracle budget of a region scan, per grid point; the scan derives each point's seed.
 REGION_SCAN_CONFIG = OracleConfig(restarts=8, sample_count=256)
-
-
-@dataclass(frozen=True)
-class SeeSawResult:
-    """Full see-saw output: best value, witnessing vectors, value history."""
-
-    value: float
-    phi: np.ndarray
-    chi: np.ndarray
-    history: np.ndarray  # (steps, restarts), non-increasing along axis 0
-
-
-def _random_unit(rng, n: int, dim: int) -> np.ndarray:
-    v = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _min_eigvecs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched smallest eigenpair of a stack of Hermitian matrices."""
-    mats = (mats + np.conj(np.swapaxes(mats, -1, -2))) / 2
-    w, v = np.linalg.eigh(mats)
-    return w[..., 0].real, v[..., :, 0]
-
-
-# Multiply-adds per matmul in a half-step.  OpenBLAS (0.3.31) runs a complex
-# gemm of 2**16 or more on a second thread, which at these sizes burns a core
-# and adds latency rather than saving time, so larger batches go in row blocks.
-_GEMM_BLOCK = 2**15
-
-
-def _half_step(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest eigenpairs of ``W`` contracted with each row of ``v`` on one side.
-
-    ``w`` is the operator regrouped to ``(dv**2, d**2)``, so the contraction
-    is one matmul of the rows ``vec(conj(v) v^T)`` against it.
-    """
-    d = math.isqrt(w.shape[1])
-    x = (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
-    rows = max(1, _GEMM_BLOCK // w.size)
-    m = np.concatenate([x[i : i + rows] @ w for i in range(0, len(x), rows)])
-    return _min_eigvecs(m.reshape(-1, d, d))
-
-
-def _see_saw(w_b, w_a, chi0: np.ndarray, max_iters: int) -> SeeSawResult:
-    """Alternating eigenvector minimization of ``<phi chi|W|phi chi>``.
-
-    ``w_b`` and ``w_a`` are the operator regrouped to ``(dB**2, dA**2)`` and
-    ``(dA**2, dB**2)``; ``chi0`` is a batch of starting vectors on the B side.
-    """
-    chi = chi0
-    values = None
-    history = []
-    converged = np.zeros(len(chi0), dtype=bool)
-    for _ in range(max_iters):
-        va, phi = _half_step(w_b, chi)
-        history.append(va)
-        vb, chi = _half_step(w_a, phi)
-        history.append(vb)
-        if values is not None:
-            converged |= np.abs(vb - values) < CONVERGENCE_TOL
-        values = vb
-        if converged.all():
-            break
-    best = int(np.argmin(values))
-    if not converged.any():
-        raise ConvergenceError(
-            f"see-saw did not converge in {max_iters} iterations",
-            best=float(values[best]),
-        )
-    return SeeSawResult(
-        value=float(values[best]), phi=phi[best], chi=chi[best], history=np.array(history)
-    )
-
-
-def block_positivity_min(
-    omega: HermitianOperator,
-    cut: Sequence[int],
-    cfg: OracleConfig | None = None,
-    full_output: bool = False,
-):
-    """Approximate minimum of ``<phi x chi|Omega|phi x chi>`` over unit products.
-
-    ``cut`` lists the tensor factors spanned by ``phi``; the complement is
-    spanned by ``chi``.  Restarts mix eigenvectors of the partially
-    contracted operator with random unit vectors.  The result is an upper
-    bound on the true minimum: a negative value certifies that ``omega`` is
-    not block-positive.  Raises :class:`ConvergenceError` when no restart
-    converges within ``cfg.max_iters`` iterations.
-    """
-    cfg = cfg or OracleConfig()
-    cut = sorted(set(int(k) for k in cut))
-    n = omega.nfactors
-    if not cut or cut[-1] >= n or cut[0] < 0 or len(cut) == n:
-        raise ValueError(f"cut must be a proper nonempty subset of range({n})")
-    rest = [k for k in range(n) if k not in cut]
-    dims = omega.dims
-    da = int(np.prod([dims[k] for k in cut]))
-    db = int(np.prod([dims[k] for k in rest]))
-    perm = cut + rest
-    axes = perm + [n + k for k in perm]
-    w4 = omega.matrix.reshape(dims + dims).transpose(axes).reshape(da, db, da, db)
-    w_b = np.ascontiguousarray(w4.transpose(1, 3, 0, 2).reshape(db * db, da * da))
-    w_a = np.ascontiguousarray(w_b.T)
-
-    rng = np.random.default_rng(cfg.seed)
-    # Restarts mix eigenvectors of the partially contracted operator with
-    # random vectors, the latter pre-scored by their optimal phi response
-    # (the landscape has local minima near criterion boundaries).
-    contracted = np.einsum("abad->bd", w4)
-    _, vecs = np.linalg.eigh((contracted + contracted.conj().T) / 2)
-    n_eig = min(db, max(cfg.restarts // 2, 1))
-    n_rand = max(cfg.restarts - n_eig, 1)
-    samples = _random_unit(rng, cfg.sample_count, db)
-    scores, _ = _half_step(w_b, samples)
-    inits = [samples[np.argsort(scores)[:n_rand]], vecs.T[:n_eig]]
-    # When either side is a pair of equal factors, seed with the maximally
-    # entangled pairing (for Choi operators of doubled maps the violating
-    # product vector sits exactly there).
-    dims_a, dims_b = [dims[k] for k in cut], [dims[k] for k in rest]
-    if len(dims_b) == 2 and dims_b[0] == dims_b[1]:
-        inits.append(np.eye(dims_b[0]).reshape(1, -1) / np.sqrt(dims_b[0]))
-    if len(dims_a) == 2 and dims_a[0] == dims_a[1]:
-        phi = np.eye(dims_a[0]).reshape(1, -1) / np.sqrt(dims_a[0])
-        inits.append(_half_step(w_a, phi)[1])
-    result = _see_saw(w_b, w_a, np.concatenate(inits), cfg.max_iters)
-    return result if full_output else result.value
 
 
 def min_output_eig(maps, cfg: OracleConfig | None = None) -> float:
@@ -218,15 +76,12 @@ def min_output_eig(maps, cfg: OracleConfig | None = None) -> float:
     times the product map's Choi operator evaluated at ``v x psi*``, with
     ``v`` on the output factors ``0, 2, ...``.  So this is the see-saw of
     :func:`block_positivity_min` with the outputs on one side of the cut, and
-    returns an upper bound on the true minimum.
+    returns an upper bound on the true minimum.  With three or more factors
+    that bound can stay above the minimum over GHZ-type inputs: the
+    maximally entangled starts exist only for two-factor sides.
     """
     n = len(maps)
     return 2**n * block_positivity_min(choi(maps), cut=range(0, 2 * n, 2), cfg=cfg)
-
-
-# Analytic slacks this close to zero sit on a criterion boundary; the sign
-# of such a point is below any oracle's resolution, so no flag is claimed.
-ANALYTIC_BAND = 1e-9
 
 
 def _flag(analytic: bool, slack: float, value: float) -> str:
@@ -258,13 +113,14 @@ class RegionCriterion:
     """An analytic predicate paired with its numerical oracle, over the Bloch
     cube unless given other axes.  Both are called with the criterion's
     ``params`` as keywords: ``analytic(pt, **params)`` returns a verdict with
-    ``satisfied`` and ``worst_slack``, ``oracle(pt, cfg, **params)`` a value."""
+    ``satisfied`` and ``worst_slack``, ``oracle(pt, cfg, **params)`` a value.
+    ``bounds`` may also be a function of the params returning the bounds."""
 
     analytic: Callable[..., CriterionVerdict]
     oracle: Callable[..., float]
     params: tuple[tuple[str, float], ...] = ()
     axes: tuple[str, ...] = ("l1", "l2", "l3")
-    bounds: tuple[tuple[float, float], ...] = ((-1.0, 1.0),) * 3
+    bounds: tuple[tuple[float, float], ...] | Callable[..., tuple] = ((-1.0, 1.0),) * 3
     default_steps: int = 21
 
 
@@ -298,12 +154,12 @@ def _3tsp_oracle(pt, cfg):
 
 
 def _nonunital_positive_oracle(pt, cfg, t):
-    return block_positivity_min(choi(NonUnitalFamilyMap(t, pt).to_general()), cut=(0,), cfg=cfg)
+    return block_positivity_min(choi(GeneralQubitMap(NonUnitalFamilyMap(t, pt).matrix)), cut=(0,), cfg=cfg)
 
 
 def _nonunital_ghz_oracle(pt, cfg, t):
-    g = NonUnitalFamilyMap(t, pt).to_general()
-    return tensor_apply([g, g], max_entangled_projector(2)).min_eig()
+    m = NonUnitalFamilyMap(t, pt)
+    return tensor_apply([m, m], max_entangled_projector(2)).min_eig()
 
 
 def _nonunital_2tsp_analytic(pt, t):
@@ -313,18 +169,23 @@ def _nonunital_2tsp_analytic(pt, t):
     return is_2tsp_nonunital(m)
 
 
+def _cone_bounds(t):
+    """The Bloch cube cut to the cone ``|l3| <= 1 - |t|``, where the 2tsp criterion is defined."""
+    h = max(0.0, 1.0 - abs(t))
+    return ((-1.0, 1.0), (-1.0, 1.0), (-h, h))
+
+
 def _nonunital_2tsp_oracle(pt, cfg, t):
     m = NonUnitalFamilyMap(t, pt)
     if m.interior_gap() <= BOUNDARY_TOL:
-        return float("nan")  # criterion undefined; row is flagged marginal
+        return float("nan")  # criterion undefined on the cone's boundary; row is flagged marginal
     rr = reduce_to_unital(m)
     psi = np.zeros(4, dtype=np.complex128)
     psi[0] = psi[3] = 2**-0.5
     w = np.kron(rr.a_inv, rr.a_inv) @ psi
     w /= np.linalg.norm(w)
     rho = HermitianOperator(np.outer(w, w.conj()), (2, 2))
-    g = m.to_general()
-    return tensor_apply([g, g], rho).min_eig()
+    return tensor_apply([m, m], rho).min_eig()
 
 
 _FAMILY_T = (("t", 0.8),)
@@ -344,7 +205,9 @@ _REGION_CRITERIA = {
     "nonunital-ghz": RegionCriterion(
         lambda pt, t: ghz_output_conditions(NonUnitalFamilyMap(t, pt)), _nonunital_ghz_oracle, _FAMILY_T
     ),
-    "nonunital-2tsp": RegionCriterion(_nonunital_2tsp_analytic, _nonunital_2tsp_oracle, _FAMILY_T),
+    "nonunital-2tsp": RegionCriterion(
+        _nonunital_2tsp_analytic, _nonunital_2tsp_oracle, _FAMILY_T, bounds=_cone_bounds
+    ),
 }
 
 
@@ -429,9 +292,8 @@ def region_scan(
         steps = (int(steps),) * len(crit.axes)
     if len(steps) != len(crit.axes):
         raise ValueError(f"{criterion} needs {len(crit.axes)} step counts")
-    grids = tuple(
-        symmetric_linspace(lo, hi, k) for (lo, hi), k in zip(crit.bounds, steps)
-    )
+    bounds = crit.bounds(**merged) if callable(crit.bounds) else crit.bounds
+    grids = tuple(symmetric_linspace(lo, hi, k) for (lo, hi), k in zip(bounds, steps))
     mesh = np.meshgrid(*grids, indexing="ij")
     points = np.stack([m.reshape(-1) for m in mesh], axis=1)
     npts = len(points)

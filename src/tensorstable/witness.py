@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import as_lambda_point, hyperboloid_point, hyperboloid_slacks, is_3tsp
-from .linalg import SIGMA, HermitianOperator, kron_all, symmetric_linspace
+from .linalg import (
+    NEGATIVITY_TOL, SIGMA, STATE_PSD_TOL, STATE_TRACE_TOL, HermitianOperator, kron_all, symmetric_linspace,
+)
 from .maps import _power_min_eigs
 
 __all__ = [
@@ -28,7 +30,6 @@ __all__ = [
     "variant_transforms",
 ]
 
-NEGATIVITY_TOL = 1e-9
 MAX_QUBITS = 6
 # Scanned two-fold-stable maps are pulled this far inside their region, so the
 # exact certification arithmetic is immune to parametrization roundoff.
@@ -46,9 +47,9 @@ class MultiQubitState:
             raise ValueError("state factors must all be qubits")
         if self.rho.nfactors > MAX_QUBITS:
             raise ValueError(f"at most {MAX_QUBITS} qubits are supported")
-        if abs(self.rho.trace() - 1.0) > 1e-12:
+        if abs(self.rho.trace() - 1.0) > STATE_TRACE_TOL:
             raise ValueError("state must have unit trace")
-        if self.rho.min_eig() < -1e-10:
+        if self.rho.min_eig() < -STATE_PSD_TOL:
             raise ValueError("state must be positive semidefinite")
 
     @property
@@ -141,10 +142,8 @@ def variant_transforms() -> list[np.ndarray]:
     return list(seen.values())
 
 
-def ghz_variants(n: int = 3) -> list[MultiQubitState]:
-    """The 16 rotated GHZ projectors ``(U_i U_j) |GHZ><GHZ| (U_i U_j)^dag``."""
-    if n != 3:
-        raise ValueError("rotated GHZ variants are defined for three qubits")
+def ghz_variants() -> list[MultiQubitState]:
+    """The 16 rotated three-qubit GHZ projectors ``(U_i U_j) |GHZ><GHZ| (U_i U_j)^dag``."""
     psi = _ghz_vector(3)
     out = []
     for ui in _U:

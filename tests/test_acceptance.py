@@ -17,8 +17,9 @@ from tensorstable.criteria import (
     ntsp_sufficient_ball,
     squared_map_choi_eigs,
 )
-from tensorstable.linalg import HermitianOperator, symmetric_linspace
+from tensorstable.linalg import HermitianOperator, OracleConfig, block_positivity_min, symmetric_linspace
 from tensorstable.maps import (
+    GeneralQubitMap,
     PauliMap,
     choi,
     classify,
@@ -27,8 +28,6 @@ from tensorstable.maps import (
 )
 from tensorstable.nonunital import NonUnitalFamilyMap, is_2tsp_nonunital, reduce_to_unital
 from tensorstable.oracles import (
-    OracleConfig,
-    block_positivity_min,
     decomposability_fixtures,
     min_output_eig,
     region_scan,
@@ -86,7 +85,7 @@ def test_3_boundary_constants():
         lo, hi = (mid, hi) if pair_min_eig(mid) >= -1e-12 else (lo, mid)
     assert (lo + hi) / 2 == pytest.approx(2**-0.5, abs=1e-3)
 
-    variants = ghz_variants(3)
+    variants = ghz_variants()
 
     def triple_min_eig(t):
         m = PauliMap.unital((t, 0.0, t))
@@ -171,7 +170,7 @@ def test_6_nonunital_reduction():
         l1, l2 = rng.uniform(-1, 1, 2)
         m = NonUnitalFamilyMap(t=t, lam3=(l1, l2, l3))
         rr = reduce_to_unital(m)
-        gen = m.to_general()
+        gen = GeneralQubitMap(m.matrix)
         a = np.linalg.inv(rr.a_inv)
         b = np.linalg.inv(rr.b_inv)
         pauli = PauliMap(tuple(rr.tilde_lam))

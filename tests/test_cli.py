@@ -197,16 +197,6 @@ class TestRegion:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["region", "--criterion", "depolarizing", "--grid", "5"]
-        monkeypatch.setenv("TSP_SEED", "9")
-        assert main(args + ["--seed", "1", "--out", str(out1)]) == 0
-        monkeypatch.delenv("TSP_SEED")
-        assert main(args + ["--seed", "9", "--out", str(out2)]) == 0
-        capsys.readouterr()
-        assert out1.read_text() == out2.read_text()
-
     def test_unknown_criterion_is_usage_error(self, capsys):
         code, _, err = run(capsys, "region", "--criterion", "nope")
         assert code == 1
@@ -217,12 +207,6 @@ class TestRegion:
         code, out, err = run(capsys, command, "--criterion", criterion, "--grid", "3", "--t", "0.5")
         assert code == 1 and out == ""
         assert "--t" in err
-
-    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("TSP_SEED", "abc")
-        code, out, err = run(capsys, "region", "--criterion", "depolarizing", "--grid", "3")
-        assert code == 1 and out == ""
-        assert "TSP_SEED" in err
 
 
 @pytest.mark.parametrize(

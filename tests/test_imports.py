@@ -1,15 +1,14 @@
-"""Package modules import one way: each may import only modules before it."""
+"""Package modules import one way: each may import only modules before it,
+and only at module level."""
 
 import ast
 from pathlib import Path
 
 import tensorstable
 
-# criteria comes before nonunital, which builds on its verdict type.
-ORDER = ["linalg", "maps", "criteria", "nonunital", "oracles", "witness", "cli"]
-
-# Imports inside functions that still run against the order.
-KNOWN_LAZY = {("maps", "nonunital"), ("maps", "oracles")}
+# linalg holds the see-saw, nonunital builds on criteria's verdict type, and
+# maps.classify calls both the see-saw and nonunital.
+ORDER = ["linalg", "criteria", "nonunital", "maps", "oracles", "witness", "cli"]
 
 
 def relative_imports(module):
@@ -34,20 +33,18 @@ def test_every_module_is_ordered():
 
 
 def test_imports_follow_the_module_order():
-    backward = []
-    for module in ORDER:
-        for target, lazy in relative_imports(module):
-            if ORDER.index(target) < ORDER.index(module):
-                continue
-            if lazy and (module, target) in KNOWN_LAZY:
-                continue
-            backward.append(f"{module} -> {target}")
+    backward = [
+        f"{module} -> {target}"
+        for module in ORDER
+        for target, _ in relative_imports(module)
+        if ORDER.index(target) >= ORDER.index(module)
+    ]
     assert backward == []
 
 
-def test_known_exceptions_are_still_needed():
-    used = {(m, t) for m in ORDER for t, lazy in relative_imports(m) if lazy}
-    assert KNOWN_LAZY <= used
+def test_no_sibling_import_sits_inside_a_function():
+    lazy = [f"{module} -> {target}" for module in ORDER for target, nested in relative_imports(module) if nested]
+    assert lazy == []
 
 
 def module_tree(module):

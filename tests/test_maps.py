@@ -386,6 +386,15 @@ class TestPowerMinEigs:
         assert got.shape == (4,)
         assert np.abs(got - expected).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_chunks_leave_every_minimum_bitwise_unchanged(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        lams = rng.uniform(-1, 1, (50, 4))
+        rho = rand_state(n, rng).matrix
+        whole = _power_min_eigs(lams, rho)
+        monkeypatch.setattr("tensorstable.maps._POWER_BLOCK", 7 * 4**n)  # chunks of 7 rows
+        assert _power_min_eigs(lams, rho).tobytes() == whole.tobytes()
+
 
 class TestPauliDiagonalMap:
     def test_single_qubit_matches_pauli_map(self):

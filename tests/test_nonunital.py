@@ -49,7 +49,6 @@ class TestFamilyMap:
     def test_matrix_is_the_translated_general_map(self, t, lam3):
         expected = GeneralQubitMap.from_translation((0.0, 0.0, t), lam3).matrix
         assert np.array_equal(NonUnitalFamilyMap(t, lam3).matrix, expected)
-        assert np.array_equal(NonUnitalFamilyMap(t, lam3).to_general().matrix, expected)
 
 
 class TestReduceToUnital:
@@ -74,7 +73,7 @@ class TestReduceToUnital:
         for _ in range(100):
             m = random_interior()
             rr = reduce_to_unital(m)
-            gen = m.to_general()
+            gen = GeneralQubitMap(m.matrix)
             e = np.zeros((4, 4))
             for j, s in enumerate(SIGMA):
                 out = rr.b_inv @ gen.apply(rr.a_inv @ s @ rr.a_inv.conj().T) @ rr.b_inv.conj().T
@@ -89,7 +88,7 @@ class TestReduceToUnital:
             a = np.linalg.inv(rr.a_inv)
             b = np.linalg.inv(rr.b_inv)
             pauli = PauliMap(tuple(rr.tilde_lam))
-            gen = m.to_general()
+            gen = GeneralQubitMap(m.matrix)
             worst = 0.0
             for s in SIGMA:
                 rec = b @ pauli.apply(a @ s @ a.conj().T) @ b.conj().T
@@ -160,7 +159,7 @@ class TestIs2TspNonUnital:
                 hi = mid
         m_lo = NonUnitalFamilyMap(t, (lo, 0.0, 0.0))
         rho = transformed_entangled_input(reduce_to_unital(m_lo))
-        out = tensor_apply([m_lo.to_general()] * 2, rho)
+        out = tensor_apply([m_lo] * 2, rho)
         assert out.min_eig() >= -1e-9
 
     def test_agrees_with_output_positivity(self):
@@ -168,7 +167,7 @@ class TestIs2TspNonUnital:
             m = random_interior()
             rr = reduce_to_unital(m)
             v = is_2tsp_nonunital(m)
-            out = tensor_apply([m.to_general()] * 2, transformed_entangled_input(rr))
+            out = tensor_apply([m] * 2, transformed_entangled_input(rr))
             eig = out.min_eig()
             if abs(eig) < 1e-10:
                 continue  # boundary: numeric sign not meaningful
@@ -210,7 +209,7 @@ class TestGhzOutputConditions:
     def test_matches_output_spectrum(self):
         for _ in range(300):
             m = NonUnitalFamilyMap(RNG.uniform(-1, 1), tuple(RNG.uniform(-1, 1, 3)))
-            out = tensor_apply([m.to_general()] * 2, max_entangled_projector())
+            out = tensor_apply([m] * 2, max_entangled_projector())
             eig = out.min_eig()
             v = ghz_output_conditions(m)
             if abs(eig) < 1e-10 or abs(v.worst_slack) < 1e-10:

@@ -4,12 +4,17 @@ import json
 import numpy as np
 import pytest
 
+from tensorstable import linalg
 from tensorstable.criteria import is_3tsp
-from tensorstable.linalg import ConvergenceError, HermitianOperator, symmetric_linspace
-from tensorstable.maps import GeneralQubitMap, PauliMap, choi, classify, tensor_apply
-from tensorstable.oracles import (
+from tensorstable.linalg import (
+    ConvergenceError,
+    HermitianOperator,
     OracleConfig,
     block_positivity_min,
+    symmetric_linspace,
+)
+from tensorstable.maps import GeneralQubitMap, PauliMap, choi, classify, tensor_apply
+from tensorstable.oracles import (
     decomposability_fixtures,
     ex2_family,
     min_output_eig,
@@ -25,7 +30,7 @@ FAST = OracleConfig(restarts=8, sample_count=256)
 class TestOracleConfig:
     def test_defaults(self):
         cfg = OracleConfig()
-        assert cfg.restarts == 64 and cfg.max_iters == 500
+        assert cfg.restarts == 64 and linalg.MAX_ITERS == 500
         assert cfg.seed == 0 and cfg.sample_count == 4096
 
     def test_validation(self):
@@ -77,11 +82,11 @@ class TestBlockPositivity:
         steps = np.diff(res.history, axis=0)
         assert steps.max() <= 1e-14
 
-    def test_convergence_error_carries_best(self):
-        cfg = dataclasses.replace(FAST, max_iters=1)
+    def test_convergence_error_carries_best(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_ITERS", 1)
         m = PauliMap.unital((0.5, 0.5, 0.5))
         with pytest.raises(ConvergenceError) as err:
-            block_positivity_min(choi([m, m]), (0, 2), cfg)
+            block_positivity_min(choi([m, m]), (0, 2), FAST)
         assert err.value.best is not None
 
     def test_cut_validation(self):
@@ -127,11 +132,11 @@ class TestMinOutputEig:
             m = PauliMap.unital(lam3)
             assert min_output_eig([m, m], cfg) >= -1e-9
 
-    def test_iteration_cap_raises_with_finite_best(self):
-        cfg = dataclasses.replace(FAST, max_iters=1)
+    def test_iteration_cap_raises_with_finite_best(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_ITERS", 1)
         m = PauliMap.unital((0.5, 0.5, 0.5))
         with pytest.raises(ConvergenceError) as err:
-            min_output_eig([m, m], cfg)
+            min_output_eig([m, m], FAST)
         assert np.isfinite(err.value.best)
 
     def test_see_saw_vectors_witness_an_output_eigenvalue(self):
@@ -172,7 +177,7 @@ class TestRegionScan:
     def test_3tsp_agrees_with_ghz_variant_reference(self):
         rep = region_scan("3tsp", steps=7)
         assert rep.summary["disagree"] == 0
-        variants = ghz_variants(3)
+        variants = ghz_variants()
         for pt, value in zip(rep.points, rep.oracle):
             m = PauliMap.unital(pt)
             reference = min(tensor_apply([m] * 3, v.rho).min_eig() for v in variants)
@@ -220,6 +225,15 @@ class TestRegionScan:
         a = region_scan("depolarizing", steps=7).to_csv()
         b = region_scan("depolarizing", steps=7).to_csv()
         assert a == b
+
+    def test_nonunital_2tsp_checks_the_cone(self):
+        # The l3 axis spans the cone |l3| <= 1 - |t| = 0.2, so the criterion is
+        # defined everywhere but on the cone's two boundary planes.
+        rep = region_scan("nonunital-2tsp", steps=11)
+        assert rep.params["t"] == 0.8
+        assert rep.summary["disagree"] == 0
+        assert rep.summary["agree"] >= 0.75 * len(rep.points)
+        assert rep.grids[2][-1] == pytest.approx(0.2)
 
     def test_nonunital_parameter_passthrough(self):
         rep = region_scan("nonunital-positive", steps=5, params={"t": 0.4})

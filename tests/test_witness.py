@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import tensorstable
 from tensorstable.criteria import hyperboloid_point, is_2tsp, is_3tsp
 from tensorstable.linalg import HermitianOperator, kron, symmetric_linspace
 from tensorstable.maps import PauliMap, tensor_apply
@@ -69,15 +75,15 @@ class TestBuildState:
 
 class TestGhzVariants:
     def test_sixteen_states(self):
-        states = ghz_variants(3)
+        states = ghz_variants()
         assert len(states) == 16
 
     def test_first_is_ghz(self):
-        states = ghz_variants(3)
+        states = ghz_variants()
         assert_allclose(states[0].rho.matrix, build_state("ghz", 1.0).rho.matrix, atol=1e-14)
 
     def test_all_pure_unit_trace(self):
-        for s in ghz_variants(3):
+        for s in ghz_variants():
             eigs = s.rho.spectrum()
             assert abs(s.rho.trace() - 1) < 1e-12
             assert eigs[-1] == pytest.approx(1.0)
@@ -88,10 +94,6 @@ class TestGhzVariants:
         for u in _U[1:]:
             assert np.abs(u - u.conj().T).max() < 1e-15
             assert_allclose(u @ u, np.eye(2), atol=1e-15)
-
-    def test_only_three_qubits(self):
-        with pytest.raises(ValueError):
-            ghz_variants(2)
 
     def test_transforms_are_signed_permutations(self):
         for t in variant_transforms():
@@ -216,6 +218,19 @@ class TestThresholdSearch:
     def test_rejects_fewer_than_two_steps(self, steps):
         with pytest.raises(ValueError, match="steps"):
             threshold_search("ghz", 2, steps=steps)
+
+    def test_peak_memory_stays_bounded_at_fine_steps(self):
+        # 65,226 maps at steps 81; the import alone takes about 30 MB.  A fresh
+        # interpreter, so the peak (ru_maxrss, in KB on Linux) is this search's.
+        pytest.importorskip("resource")
+        code = (
+            "import resource; from tensorstable.witness import threshold_search; "
+            "threshold_search('w', 2, steps=81); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(tensorstable.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert int(proc.stdout) / 1024 < 100
 
 
 # Loop versions of the scan builders: the reference the array builders must
