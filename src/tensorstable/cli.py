@@ -23,7 +23,7 @@ from .criteria import (
     ntsp_sufficient_ball,
 )
 from .linalg import BOUNDARY_TOL, ConvergenceError
-from .maps import GeneralQubitMap, PauliMap, classify, map_from_json
+from .maps import PauliMap, classify, map_from_json
 from .nonunital import (
     NonUnitalFamilyMap,
     classify_nonunital_positive,
@@ -80,6 +80,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _steps(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"needs at least two steps, got {value}")
+    return value
+
+
 def _parse_lambda(text: str) -> tuple[float, ...]:
     try:
         vals = tuple(float(v) for v in text.split(","))
@@ -116,7 +126,7 @@ def _cmd_classify(args) -> dict:
         if args.t is not None:
             if lam[0] != 1.0:
                 raise ValueError("translated maps require l0 = 1")
-            m = GeneralQubitMap(NonUnitalFamilyMap(t=args.t, lam3=lam[1:]).matrix)
+            m = NonUnitalFamilyMap(t=args.t, lam3=lam[1:])
         else:
             m = PauliMap(lam)
 
@@ -168,7 +178,10 @@ def _cmd_region(args, summary_only: bool = False):
     params = {"t": args.t} if args.t is not None else None
     if params and "t" not in region_params(args.criterion):
         raise _UsageError(f"--t does not apply to --criterion {args.criterion}")
-    rep = region_scan(args.criterion, steps=args.grid, params=params, seed=args.seed)
+    try:
+        rep = region_scan(args.criterion, steps=args.grid, params=params, seed=args.seed)
+    except MemoryError:
+        raise _UsageError(f"--grid {args.grid} is too fine: its points do not fit in memory") from None
     if summary_only:
         return {"criterion": rep.criterion, "params": rep.params, "summary": rep.summary}
     _write(rep.to_csv() if args.format == "csv" else rep.to_json() + "\n", args)
@@ -196,11 +209,7 @@ def _cmd_reduce(args) -> dict:
 
 
 def _cmd_witness(args) -> dict:
-    # --family and --n are parser choices, so only --steps can be rejected here.
-    try:
-        res = threshold_search(args.family, args.n, steps=args.steps)
-    except ValueError as exc:
-        raise _UsageError(f"bad --steps: {exc}") from None
+    res = threshold_search(args.family, args.n, steps=args.steps)
     return {
         "family": args.family,
         "n": args.n,
@@ -219,7 +228,7 @@ def _build_parser() -> _Parser:
 
     def scan(p):
         p.add_argument("--criterion", required=True, choices=region_criteria())
-        p.add_argument("--grid", type=int, default=None, help="steps per axis")
+        p.add_argument("--grid", type=_steps, default=None, help="steps per axis (at least 2)")
         p.add_argument("--t", type=_finite_float, default=None, help="family translation parameter")
         p.add_argument("--seed", type=int, default=0, help="oracle seed")
         common(p)
@@ -254,7 +263,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("witness", help="entanglement-depth detection threshold search")
     p.add_argument("--family", required=True, choices=("ghz", "w"))
     p.add_argument("--n", type=int, required=True, choices=(1, 2))
-    p.add_argument("--steps", type=int, default=21, help="witness-map grid resolution")
+    p.add_argument("--steps", type=_steps, default=21, help="witness-map grid resolution (at least 2)")
     common(p)
 
     return parser

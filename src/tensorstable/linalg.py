@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "BLOCH_ROTATIONS",
     "SIGMA",
     "ConvergenceError",
     "HermitianOperator",
@@ -26,6 +27,7 @@ __all__ = [
     "kron_all",
     "partial_transpose",
     "psd_verdict",
+    "rotated_ghz3",
     "symmetric_linspace",
 ]
 
@@ -35,6 +37,14 @@ SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=np.complex128),
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
+)
+
+# Bloch-ball rotations inverting one axis and swapping the other two.
+BLOCH_ROTATIONS = (
+    np.eye(2, dtype=np.complex128),
+    (SIGMA[2] + SIGMA[3]) / np.sqrt(2),
+    (SIGMA[1] + SIGMA[3]) / np.sqrt(2),
+    (SIGMA[1] + SIGMA[2]) / np.sqrt(2),
 )
 
 # Hermiticity drift above this at construction indicates a caller bug.
@@ -151,6 +161,13 @@ def kron_all(mats: Iterable) -> np.ndarray:
     for m in mats:
         out = np.kron(out, _as_matrix(m))
     return out
+
+
+def rotated_ghz3() -> np.ndarray:
+    """Rows ``(U_i U_j)^{(x)3} |GHZ>`` over the pairs ``(i, j)`` of ``BLOCH_ROTATIONS``."""
+    ghz = np.zeros(8, dtype=np.complex128)
+    ghz[0] = ghz[-1] = 2**-0.5
+    return np.array([kron_all([ui @ uj] * 3) @ ghz for ui in BLOCH_ROTATIONS for uj in BLOCH_ROTATIONS])
 
 
 def partial_transpose(y: HermitianOperator, subsystems: Iterable[int]) -> HermitianOperator:
@@ -287,20 +304,28 @@ def _see_saw(w_b, w_a, chi0: np.ndarray) -> SeeSawResult:
     )
 
 
+# Extra see-saw starts on a three-qubit chi side: the rotated GHZ vectors, one
+# per class of vectors equal up to a phase (8 of the 16), conjugated because
+# min_output_eig evaluates the Choi operator at ``v x psi*``.
+_GHZ3 = rotated_ghz3()
+_GHZ3_STARTS = _GHZ3[~np.triu(np.abs(_GHZ3.conj() @ _GHZ3.T) > 1 - 1e-9, 1).any(axis=0)].conj()
+
+
 def block_positivity_min(
     omega: HermitianOperator,
     cut: Sequence[int],
     cfg: OracleConfig | None = None,
-    full_output: bool = False,
-):
+) -> SeeSawResult:
     """Approximate minimum of ``<phi x chi|Omega|phi x chi>`` over unit products.
 
     ``cut`` lists the tensor factors spanned by ``phi``; the complement is
     spanned by ``chi``.  Restarts mix eigenvectors of the partially
-    contracted operator with random unit vectors.  The result is an upper
-    bound on the true minimum: a negative value certifies that ``omega`` is
-    not block-positive.  Raises :class:`ConvergenceError` when no restart
-    converges within :data:`MAX_ITERS` iterations.
+    contracted operator with random unit vectors; a three-qubit chi side
+    also starts from the conjugated rotated GHZ vectors.  The result's
+    ``value`` is an upper bound on the true minimum: a negative value
+    certifies that ``omega`` is not block-positive.  Raises
+    :class:`ConvergenceError` when no restart converges within
+    :data:`MAX_ITERS` iterations.
     """
     cfg = cfg or OracleConfig()
     cut = sorted(set(int(k) for k in cut))
@@ -337,5 +362,6 @@ def block_positivity_min(
     if len(dims_a) == 2 and dims_a[0] == dims_a[1]:
         phi = np.eye(dims_a[0]).reshape(1, -1) / np.sqrt(dims_a[0])
         inits.append(_half_step(w_a, phi)[1])
-    result = _see_saw(w_b, w_a, np.concatenate(inits))
-    return result if full_output else result.value
+    if dims_b == [2, 2, 2]:
+        inits.append(_GHZ3_STARTS)
+    return _see_saw(w_b, w_a, np.concatenate(inits))

@@ -137,9 +137,6 @@ class PauliMap:
         """Action in the lambda form, ``(1/2) sum_j l_j tr(sigma_j X) sigma_j``."""
         return _pauli_product(self.lam, _check_2x2(x), diagonal=True)
 
-    def superop(self) -> np.ndarray:
-        return _superop_from_matrix(self.matrix)
-
 
 class GeneralQubitMap:
     """Qubit map given by an arbitrary real 4x4 Pauli-basis matrix."""
@@ -178,19 +175,8 @@ class GeneralQubitMap:
     def apply(self, x) -> np.ndarray:
         return _pauli_product([self.matrix], _check_2x2(x))
 
-    def superop(self) -> np.ndarray:
-        return _superop_from_matrix(self.matrix)
-
-    def is_diagonal(self) -> bool:
-        return not np.any(self.matrix - np.diag(np.diag(self.matrix)))
-
     def __repr__(self) -> str:
         return f"GeneralQubitMap(lam3={self.lam3}, t={self.translation})"
-
-
-def _superop_from_matrix(e: np.ndarray) -> np.ndarray:
-    """4x4 superoperator on row-major ``vec(X)`` for a Pauli-basis matrix."""
-    return _FROM_PAULI @ e @ _TO_PAULI
 
 
 def _realign(s: np.ndarray, d: int) -> np.ndarray:
@@ -216,19 +202,21 @@ def max_entangled_projector(d: int = 2) -> HermitianOperator:
 
 
 def choi(maps) -> HermitianOperator:
-    """Choi operator of a map or of an ordered list of qubit maps.
+    """Choi operator of a qubit map or of an ordered list of qubit maps.
 
-    For one map this is ``(Phi x Id)`` applied to the maximally entangled
-    projector (4x4).  For ``k`` maps the result is the Kronecker product of
-    the single-map Choi operators, so the factor ordering is
-    ``A A' B B' ...`` with unprimed factors carrying the map inputs.
+    Each map enters through its Pauli-basis matrix ``.matrix`` alone, and
+    anything with a ``.matrix`` counts as one map.  For one map this is
+    ``(Phi x Id)`` applied to the maximally entangled projector (4x4).  For
+    ``k`` maps the result is the Kronecker product of the single-map Choi
+    operators, so the factor ordering is ``A A' B B' ...`` with unprimed
+    factors carrying the map inputs.
     """
-    if isinstance(maps, (PauliMap, GeneralQubitMap)):
+    if hasattr(maps, "matrix"):
         maps = [maps]
     if not maps:
         raise ValueError("choi requires at least one map")
     # (Phi x Id)[psi+ proj] = (1/2) sum_ab Phi[E_ab] (x) E_ab
-    singles = [HermitianOperator(0.5 * _realign(m.superop(), 2), (2, 2)) for m in maps]
+    singles = [HermitianOperator(0.5 * _realign(_FROM_PAULI @ m.matrix @ _TO_PAULI, 2), (2, 2)) for m in maps]
     out = singles[0]
     for s in singles[1:]:
         out = kron(out, s)
@@ -384,16 +372,13 @@ class ClassificationReport:
     positivity_method: str = "pauli-closed-form"
 
 
-_E30 = np.zeros((4, 4))
-_E30[3, 0] = 1.0
-
-
 def classify(m) -> ClassificationReport:
     """Classify a qubit map (unital / TP / positive / CP / CcP / EB).
 
-    Pauli maps use the closed-form parameter conditions.  General maps fall
-    back on the Choi operator for CP / CcP / EB; positivity uses the exact
-    translated-family conditions when the matrix has that shape and the
+    The branch follows from the Pauli-basis matrix ``E`` (``m.matrix``) alone.
+    A diagonal ``E`` takes the closed-form Pauli-map conditions.  Any other
+    map falls back on the Choi operator for CP / CcP / EB; positivity uses the
+    exact translated-family conditions when ``E`` has that shape and the
     numeric block-positivity oracle otherwise (the report records which).
     """
     e = np.asarray(m.matrix, dtype=float)
@@ -402,7 +387,8 @@ def classify(m) -> ClassificationReport:
     tp = bool(np.allclose(e[0, :], [1, 0, 0, 0], rtol=0, atol=MATRIX_ATOL))
     margins: dict = {}
 
-    if isinstance(m, PauliMap) or (isinstance(m, GeneralQubitMap) and m.is_diagonal() and unital):
+    # Diagonal E; count_nonzero is about ten times cheaper than comparing with np.diag.
+    if np.count_nonzero(e) == np.count_nonzero(e.diagonal()):
         lam = np.diag(e)
         q = lambda_to_q(lam)
         q_ccp = lambda_to_q(lam * np.array([1, 1, -1, 1]))
@@ -426,19 +412,16 @@ def classify(m) -> ClassificationReport:
         margins["cp"] = float(omega_eigs[0])
         margins["ccp"] = float(ccp_eigs[0])
         margins["eb"] = float(min(omega_eigs[0], pt_eigs[0]))
-        translated_family = (
-            tp
-            and np.allclose(e[1:3, 0], 0, atol=MATRIX_ATOL)
-            and np.allclose(e - np.diag(np.diag(e)) - e[3, 0] * _E30, 0, atol=MATRIX_ATOL)
-        )
-        if translated_family:
+        off = e - np.diag(np.diag(e))
+        off[3, 0] = 0.0
+        if tp and np.allclose(off, 0, atol=MATRIX_ATOL):
             fam = NonUnitalFamilyMap(t=float(e[3, 0]), lam3=tuple(np.diag(e)[1:]))
             verdict = classify_nonunital_positive(fam)
             positive = verdict.satisfied
             margins["positivity"] = verdict.worst_slack
             method = "nonunital-closed-form"
         else:
-            value = block_positivity_min(omega, cut=(0,), cfg=OracleConfig(restarts=16))
+            value = block_positivity_min(omega, cut=(0,), cfg=OracleConfig(restarts=16)).value
             positive = value >= -PSD_CONFIRM_TOL
             margins["positivity"] = float(value)
             method = "numeric-block-positivity"
@@ -456,21 +439,20 @@ def classify(m) -> ClassificationReport:
 
 
 def map_to_json(m) -> str:
-    """Serialize a diagonal-plus-translation qubit map to JSON.
+    """Serialize a qubit map to JSON from its Pauli-basis matrix ``E`` alone.
 
-    Schema: ``{"lambda": [...]}`` with an extra ``"t": [t1, t2, t3]`` entry
-    for non-unital maps.
+    Schema: ``{"lambda": [l0, l1, l2, l3]}``, the diagonal of ``E``, with an
+    extra ``"t": [t1, t2, t3]`` entry for a translation, which needs ``l0 = 1``.
     """
-    if isinstance(m, PauliMap):
-        return json.dumps({"lambda": list(m.lam)}, sort_keys=True)
     e = np.asarray(m.matrix, dtype=float)
     off = e - np.diag(np.diag(e))
     off[1:, 0] = 0.0
-    if np.abs(off).max() > 0 or e[0, 0] != 1.0:
-        raise ValueError("JSON schema covers diagonal maps with a translation only")
-    payload = {"lambda": [1.0, *np.diag(e)[1:].tolist()]}
     t = e[1:, 0]
-    if np.any(t != 0):
+    translated = bool(np.any(t != 0))
+    if np.abs(off).max() > 0 or (translated and e[0, 0] != 1.0):
+        raise ValueError("JSON schema covers diagonal maps, with a translation when l0 = 1, only")
+    payload = {"lambda": np.diag(e).tolist()}
+    if translated:
         payload["t"] = t.tolist()
     return json.dumps(payload, sort_keys=True)
 

@@ -35,7 +35,6 @@ from .linalg import (
     symmetric_linspace,
 )
 from .maps import (
-    GeneralQubitMap,
     PauliDiagonalMap,
     PauliMap,
     _power_min_eigs,
@@ -76,12 +75,12 @@ def min_output_eig(maps, cfg: OracleConfig | None = None) -> float:
     times the product map's Choi operator evaluated at ``v x psi*``, with
     ``v`` on the output factors ``0, 2, ...``.  So this is the see-saw of
     :func:`block_positivity_min` with the outputs on one side of the cut, and
-    returns an upper bound on the true minimum.  With three or more factors
-    that bound can stay above the minimum over GHZ-type inputs: the
-    maximally entangled starts exist only for two-factor sides.
+    returns an upper bound on the true minimum.  Two and three factors also
+    start from the maximally entangled and the rotated GHZ inputs; with four
+    or more that bound can stay above the minimum over GHZ-type inputs.
     """
     n = len(maps)
-    return 2**n * block_positivity_min(choi(maps), cut=range(0, 2 * n, 2), cfg=cfg)
+    return 2**n * block_positivity_min(choi(maps), cut=range(0, 2 * n, 2), cfg=cfg).value
 
 
 def _flag(analytic: bool, slack: float, value: float) -> str:
@@ -136,7 +135,7 @@ def _depol_oracle(pt, cfg):
 
 def _2tsp_oracle(pt, cfg):
     m = PauliMap.unital(pt)
-    return block_positivity_min(choi([m, m]), cut=(0, 2), cfg=cfg)
+    return block_positivity_min(choi([m, m]), cut=(0, 2), cfg=cfg).value
 
 
 # The rotated GHZ projectors of ``witness.ghz_variants`` conjugate every qubit
@@ -154,7 +153,7 @@ def _3tsp_oracle(pt, cfg):
 
 
 def _nonunital_positive_oracle(pt, cfg, t):
-    return block_positivity_min(choi(GeneralQubitMap(NonUnitalFamilyMap(t, pt).matrix)), cut=(0,), cfg=cfg)
+    return block_positivity_min(choi(NonUnitalFamilyMap(t, pt)), cut=(0,), cfg=cfg).value
 
 
 def _nonunital_ghz_oracle(pt, cfg, t):

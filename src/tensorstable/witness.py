@@ -15,7 +15,7 @@ import numpy as np
 
 from .criteria import as_lambda_point, hyperboloid_point, hyperboloid_slacks, is_3tsp
 from .linalg import (
-    NEGATIVITY_TOL, SIGMA, STATE_PSD_TOL, STATE_TRACE_TOL, HermitianOperator, kron_all, symmetric_linspace,
+    NEGATIVITY_TOL, STATE_PSD_TOL, STATE_TRACE_TOL, HermitianOperator, rotated_ghz3, symmetric_linspace,
 )
 from .maps import _power_min_eigs
 
@@ -83,12 +83,6 @@ class ThresholdResult:
     neg_eig: float
 
 
-def _ghz_vector(n: int) -> np.ndarray:
-    psi = np.zeros(2**n, dtype=np.complex128)
-    psi[0] = psi[-1] = 2**-0.5
-    return psi
-
-
 def build_state(kind: str, q: float, n: int = 3) -> MultiQubitState:
     """Canonical pure state mixed with white noise at weight ``1 - q``.
 
@@ -99,7 +93,8 @@ def build_state(kind: str, q: float, n: int = 3) -> MultiQubitState:
     if kind == "ghz":
         if not 2 <= n <= MAX_QUBITS:
             raise ValueError(f"ghz needs 2..{MAX_QUBITS} qubits, got {n}")
-        psi, nq = _ghz_vector(n), n
+        psi, nq = np.zeros(2**n, dtype=np.complex128), n
+        psi[0] = psi[-1] = 2**-0.5
     elif kind == "w3":
         psi = np.zeros(8, dtype=np.complex128)
         psi[1] = psi[2] = psi[4] = 3**-0.5
@@ -115,15 +110,7 @@ def build_state(kind: str, q: float, n: int = 3) -> MultiQubitState:
     return MultiQubitState(HermitianOperator(rho, (2,) * nq))
 
 
-# Bloch-ball rotations inverting one axis and swapping the other two.
-_U = (
-    np.eye(2, dtype=np.complex128),
-    (SIGMA[2] + SIGMA[3]) / np.sqrt(2),
-    (SIGMA[1] + SIGMA[3]) / np.sqrt(2),
-    (SIGMA[1] + SIGMA[2]) / np.sqrt(2),
-)
-
-# The same rotations acting on the Bloch scalings (l1, l2, l3).
+# The rotations of linalg.BLOCH_ROTATIONS acting on the Bloch scalings (l1, l2, l3).
 _G = (
     np.eye(3),
     np.array([[-1.0, 0, 0], [0, 0, 1], [0, 1, 0]]),
@@ -144,13 +131,7 @@ def variant_transforms() -> list[np.ndarray]:
 
 def ghz_variants() -> list[MultiQubitState]:
     """The 16 rotated three-qubit GHZ projectors ``(U_i U_j) |GHZ><GHZ| (U_i U_j)^dag``."""
-    psi = _ghz_vector(3)
-    out = []
-    for ui in _U:
-        for uj in _U:
-            v = kron_all([ui @ uj] * 3) @ psi
-            out.append(MultiQubitState(HermitianOperator(np.outer(v, v.conj()), (2,) * 3)))
-    return out
+    return [MultiQubitState(HermitianOperator(np.outer(v, v.conj()), (2,) * 3)) for v in rotated_ghz3()]
 
 
 def _certified(lams: np.ndarray, n: int) -> np.ndarray:

@@ -274,7 +274,7 @@ def test_9_property_suites():
     for k in range(50):
         m = PauliMap((1.0, *rng.uniform(-1, 1, 3)))
         om = choi([m, m])
-        res = block_positivity_min(om, (0, 2), SCAN_CFG, full_output=True)
+        res = block_positivity_min(om, (0, 2), SCAN_CFG)
         w4 = (
             om.matrix.reshape((2,) * 8)
             .transpose([0, 2, 1, 3, 4, 6, 5, 7])

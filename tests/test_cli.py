@@ -208,6 +208,20 @@ class TestRegion:
         assert code == 1 and out == ""
         assert "--t" in err
 
+    @pytest.mark.parametrize("command", ["region", "verify"])
+    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
+    def test_grid_below_two_is_usage_error(self, capsys, command, grid):
+        code, out, err = run(capsys, command, "--criterion", "2tsp", "--grid", grid)
+        assert code == 1 and out == ""
+        assert "--grid" in err
+
+    def test_grid_too_large_for_memory_is_usage_error(self, capsys):
+        # 3 axes of 1e5 steps: 1e15 points, which no host can allocate.
+        code, out, err = run(capsys, "verify", "--criterion", "2tsp", "--grid", "100000")
+        assert code == 1 and out == ""
+        assert "--grid" in err and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 @pytest.mark.parametrize(
     "argv",

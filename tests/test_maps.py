@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tensorstable.criteria import is_2tsp
-from tensorstable.linalg import SIGMA, HermitianOperator, hermitian_spectrum, kron_all
+from tensorstable.linalg import SIGMA, HermitianOperator, hermitian_spectrum, kron, kron_all, symmetric_linspace
 from tensorstable.maps import (
     GeneralQubitMap,
     PauliDiagonalMap,
@@ -134,6 +135,14 @@ class TestChoi:
         single = choi(PauliMap.identity()).matrix
         assert_allclose(om.matrix, np.kron(single, single), atol=1e-14)
 
+    def test_family_map_is_its_matrix(self):
+        rng = np.random.default_rng(9)
+        for t, *lam3 in rng.uniform(-1, 1, (20, 4)):
+            fam = NonUnitalFamilyMap(t, lam3)
+            general = GeneralQubitMap(fam.matrix)
+            assert choi(fam).matrix.tobytes() == choi(general).matrix.tobytes()
+            assert choi([fam, fam]).matrix.tobytes() == choi([general, general]).matrix.tobytes()
+
 
 class TestMapFromChoi:
     def test_max_entangled_gives_identity(self):
@@ -214,6 +223,21 @@ class TestClassify:
         off[1, 2] = 0.3  # not of the translated-diagonal shape
         rep2 = classify(GeneralQubitMap(off))
         assert rep2.positivity_method == "numeric-block-positivity"
+
+    def test_family_map_classifies_as_its_matrix(self):
+        rng = np.random.default_rng(10)
+        for t, *lam3 in rng.uniform(-1, 1, (20, 4)):
+            fam = NonUnitalFamilyMap(t, lam3)
+            rep = classify(fam)
+            assert rep.positivity_method == "nonunital-closed-form"
+            assert dataclasses.asdict(rep) == dataclasses.asdict(classify(GeneralQubitMap(fam.matrix)))
+
+    @pytest.mark.parametrize("l0", [2.0, 0.5, 0.0])
+    def test_diagonal_matrix_takes_the_pauli_closed_form(self, l0):
+        lam = (l0, 0.3, -0.7, 0.4)
+        rep = classify(PauliMap(lam))
+        assert rep.positivity_method == "pauli-closed-form"
+        assert dataclasses.asdict(rep) == dataclasses.asdict(classify(GeneralQubitMap(np.diag(lam))))
 
     def test_general_translation_goes_numeric(self):
         # translations off the third axis have no closed form
@@ -329,6 +353,38 @@ def random_general_maps(n, rng=RNG):
     return [GeneralQubitMap(rng.uniform(-1, 1, (4, 4))) for _ in range(n)]
 
 
+def reference_choi(maps):
+    """Choi operator through each map's row-major superoperator, realigned:
+    ``choi`` reproduces this route bit for bit."""
+    out = None
+    for m in maps:
+        s = pauli_superop(m.matrix, 1).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+        single = HermitianOperator(0.5 * s, (2, 2))
+        out = single if out is None else kron(out, single)
+    return out
+
+
+class TestChoiArithmetic:
+    def assert_bitwise(self, maps):
+        assert choi(maps).matrix.tobytes() == reference_choi(maps).matrix.tobytes()
+
+    def test_depolarizing_pairs(self):
+        grid = symmetric_linspace(-1.0, 1.0, 41)
+        for q1 in grid:
+            for q2 in grid:
+                self.assert_bitwise([PauliMap.depolarizing(q1), PauliMap.depolarizing(q2)])
+
+    def test_translated_maps(self):
+        rng = np.random.default_rng(11)
+        for t, *lam3 in rng.uniform(-1, 1, (200, 4)):
+            self.assert_bitwise([NonUnitalFamilyMap(t, lam3)])
+        self.assert_bitwise([NonUnitalFamilyMap(0.2, (0.5, 0.4, -0.3))])
+
+    def test_general_maps(self):
+        for m in random_general_maps(200, np.random.default_rng(12)):
+            self.assert_bitwise([m])
+
+
 class TestPauliProduct:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_general_maps_match_kron_superop(self, n):
@@ -442,6 +498,16 @@ class TestJson:
         assert data["t"] == [0.0, 0.0, 0.5]
         back = map_from_json(text)
         assert np.abs(back.matrix - g.matrix).max() == 0
+
+    def test_diagonal_general_map_round_trips_to_a_pauli_map(self):
+        back = map_from_json(map_to_json(GeneralQubitMap(np.diag([2.0, 1.0, 1.0, 1.0]))))
+        assert back == PauliMap((2.0, 1.0, 1.0, 1.0))
+
+    def test_rejects_a_translation_without_unit_trace(self):
+        e = np.diag([2.0, 1.0, 1.0, 1.0])
+        e[3, 0] = 0.5
+        with pytest.raises(ValueError, match="l0 = 1"):
+            map_to_json(GeneralQubitMap(e))
 
     def test_three_component_lambda(self):
         m = map_from_json('{"lambda": [0.1, 0.2, 0.3]}')

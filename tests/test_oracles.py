@@ -15,6 +15,7 @@ from tensorstable.linalg import (
 )
 from tensorstable.maps import GeneralQubitMap, PauliMap, choi, classify, tensor_apply
 from tensorstable.oracles import (
+    REGION_SCAN_CONFIG,
     decomposability_fixtures,
     ex2_family,
     min_output_eig,
@@ -51,23 +52,23 @@ class TestSymmetricLinspace:
 
 class TestBlockPositivity:
     def test_max_entangled_floor(self):
-        v = block_positivity_min(choi(PauliMap.identity()), (0,), FAST)
+        v = block_positivity_min(choi(PauliMap.identity()), (0,), FAST).value
         assert -1e-9 <= v <= 1e-8
 
     def test_detects_transpose_pairing(self):
         om = choi([PauliMap.identity(), PauliMap.transposition()])
-        v = block_positivity_min(om, (0, 2), FAST)
+        v = block_positivity_min(om, (0, 2), FAST).value
         assert v < -1e-3
 
     def test_stable_boundary_map(self):
         m = PauliMap.unital((2**-0.5, 0.0, 2**-0.5))
-        v = block_positivity_min(choi([m, m]), (0, 2), FAST)
+        v = block_positivity_min(choi([m, m]), (0, 2), FAST).value
         assert v >= -1e-9
 
     def test_soundness_of_reported_vectors(self):
         m = PauliMap.unital((0.9, 0.9, 0.0))
         om = choi([m, m])
-        res = block_positivity_min(om, (0, 2), FAST, full_output=True)
+        res = block_positivity_min(om, (0, 2), FAST)
         w = om.matrix.reshape((2,) * 8)
         w4 = w.transpose([0, 2, 1, 3, 4, 6, 5, 7]).reshape(4, 4, 4, 4)
         again = np.einsum(
@@ -78,7 +79,7 @@ class TestBlockPositivity:
 
     def test_see_saw_monotone(self):
         m = PauliMap.unital((0.95, -0.6, 0.1))
-        res = block_positivity_min(choi([m, m]), (0, 2), FAST, full_output=True)
+        res = block_positivity_min(choi([m, m]), (0, 2), FAST)
         steps = np.diff(res.history, axis=0)
         assert steps.max() <= 1e-14
 
@@ -143,7 +144,7 @@ class TestMinOutputEig:
         # phi sits on the output factors, conj(chi) is the pure input.
         rng = np.random.default_rng(5)
         m1, m2 = (GeneralQubitMap(rng.uniform(-1, 1, (4, 4))) for _ in range(2))
-        res = block_positivity_min(choi([m1, m2]), (0, 2), FAST, full_output=True)
+        res = block_positivity_min(choi([m1, m2]), (0, 2), FAST)
         chi = res.chi.conj()
         out = tensor_apply([m1, m2], HermitianOperator(np.outer(chi, chi.conj())))
         assert abs((res.phi.conj() @ out.matrix @ res.phi).real - 4 * res.value) < 1e-12
@@ -158,6 +159,15 @@ class TestMinOutputEig:
             count += 1
             cfg = dataclasses.replace(FAST, seed=count)
             assert min_output_eig([PauliMap.unital(lam3)] * 3, cfg) >= -1e-9
+
+    @pytest.mark.parametrize("i", [1, 28, 29])
+    def test_three_factors_reach_the_ghz_variant_minimum(self, i):
+        # Points where random and eigenvector starts alone stop above zero.
+        m = PauliMap.unital(np.random.default_rng(5).uniform(-1, 1, (30, 3))[i])
+        reference = min(tensor_apply([m] * 3, v.rho).min_eig() for v in ghz_variants())
+        value = min_output_eig([m] * 3, dataclasses.replace(REGION_SCAN_CONFIG, seed=i))
+        assert reference < -1e-3
+        assert value <= reference + 1e-9
 
 
 class TestRegionScan:

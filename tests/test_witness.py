@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import tensorstable
 from tensorstable.criteria import hyperboloid_point, is_2tsp, is_3tsp
-from tensorstable.linalg import HermitianOperator, kron, symmetric_linspace
+from tensorstable.linalg import BLOCH_ROTATIONS, HermitianOperator, kron, symmetric_linspace
 from tensorstable.maps import PauliMap, tensor_apply
 from tensorstable.witness import (
     NEGATIVITY_TOL,
@@ -89,9 +89,7 @@ class TestGhzVariants:
             assert eigs[-1] == pytest.approx(1.0)
 
     def test_rotations_are_hermitian_unitary(self):
-        from tensorstable.witness import _U
-
-        for u in _U[1:]:
+        for u in BLOCH_ROTATIONS[1:]:
             assert np.abs(u - u.conj().T).max() < 1e-15
             assert_allclose(u @ u, np.eye(2), atol=1e-15)
 
