@@ -80,14 +80,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _steps(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"needs at least two steps, got {value}")
-    return value
+def _int_at_least(floor: int):
+    """Argparse type for integers of at least ``floor``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_lambda(text: str) -> tuple[float, ...]:
@@ -228,9 +233,9 @@ def _build_parser() -> _Parser:
 
     def scan(p):
         p.add_argument("--criterion", required=True, choices=region_criteria())
-        p.add_argument("--grid", type=_steps, default=None, help="steps per axis (at least 2)")
+        p.add_argument("--grid", type=_int_at_least(2), default=None, help="steps per axis (at least 2)")
         p.add_argument("--t", type=_finite_float, default=None, help="family translation parameter")
-        p.add_argument("--seed", type=int, default=0, help="oracle seed")
+        p.add_argument("--seed", type=_int_at_least(0), default=0, help="oracle seed (at least 0)")
         common(p)
 
     p = sub.add_parser("classify", help="classify a qubit map and run all criteria")
@@ -263,7 +268,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("witness", help="entanglement-depth detection threshold search")
     p.add_argument("--family", required=True, choices=("ghz", "w"))
     p.add_argument("--n", type=int, required=True, choices=(1, 2))
-    p.add_argument("--steps", type=_steps, default=21, help="witness-map grid resolution (at least 2)")
+    p.add_argument("--steps", type=_int_at_least(2), default=21, help="witness-map grid resolution (at least 2)")
     common(p)
 
     return parser

@@ -61,11 +61,10 @@ H4 = np.array(
     dtype=float,
 )
 
-_VEC_SIGMA = np.array([s.reshape(-1) for s in SIGMA])  # (4, 4) rows vec(sigma_i)
 # Per-qubit change of basis from the row-major vec of a 2x2 block to its Pauli
 # coefficients x_i = tr(sigma_i X), and back (X = sum_i x_i sigma_i / 2).
-_TO_PAULI = _VEC_SIGMA.conj()
-_FROM_PAULI = _VEC_SIGMA.T / 2.0
+_TO_PAULI = np.array([s.conj().reshape(-1) for s in SIGMA])
+_FROM_PAULI = _TO_PAULI.conj().T / 2.0
 
 
 def lambda_to_q(lam: Sequence[float]) -> np.ndarray:
@@ -164,25 +163,17 @@ class GeneralQubitMap:
         e[1, 1], e[2, 2], e[3, 3] = lam3
         return cls(e)
 
-    @property
-    def translation(self) -> np.ndarray:
-        return self.matrix[1:, 0].copy()
-
-    @property
-    def lam3(self) -> np.ndarray:
-        return np.diag(self.matrix)[1:].copy()
-
     def apply(self, x) -> np.ndarray:
         return _pauli_product([self.matrix], _check_2x2(x))
 
     def __repr__(self) -> str:
-        return f"GeneralQubitMap(lam3={self.lam3}, t={self.translation})"
+        return f"GeneralQubitMap({self.matrix.tolist()})"
 
 
-def _realign(s: np.ndarray, d: int) -> np.ndarray:
-    """Row-major superoperator ``S[(a, b), (a', b')]`` <-> ``sum Phi[E_a'b'] (x) E_a'b'``
-    (``d`` times the Choi operator); the swap is its own inverse."""
-    return s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+def _realign(s: np.ndarray) -> np.ndarray:
+    """``S[(a, b), (a', b')]`` with ``vec(Phi[X]) = S vec(X)`` (row-major vec) <->
+    ``sum Phi[E_a'b'] (x) E_a'b'`` (twice the Choi operator); the swap is its own inverse."""
+    return s.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 def compose(f, g):
@@ -216,7 +207,7 @@ def choi(maps) -> HermitianOperator:
     if not maps:
         raise ValueError("choi requires at least one map")
     # (Phi x Id)[psi+ proj] = (1/2) sum_ab Phi[E_ab] (x) E_ab
-    singles = [HermitianOperator(0.5 * _realign(_FROM_PAULI @ m.matrix @ _TO_PAULI, 2), (2, 2)) for m in maps]
+    singles = [HermitianOperator(0.5 * _realign(_FROM_PAULI @ m.matrix @ _TO_PAULI), (2, 2)) for m in maps]
     out = singles[0]
     for s in singles[1:]:
         out = kron(out, s)
@@ -226,13 +217,14 @@ def choi(maps) -> HermitianOperator:
 def map_from_choi(omega: HermitianOperator) -> GeneralQubitMap:
     """Reconstruct a qubit map from its 4x4 Choi operator.
 
-    Realigns ``Omega`` into the superoperator ``S = 2 * realign(Omega)`` and
-    reads off ``E = V* S V^T / 2`` with ``V`` the rows ``vec(sigma_i)``.
+    Realigns ``Omega`` into ``S = 2 * realign(Omega)``, the matrix with
+    ``vec(Phi[X]) = S vec(X)``, and changes its basis to the Pauli one, the
+    inverse of :func:`choi`.
     """
     w = omega.matrix if isinstance(omega, HermitianOperator) else np.asarray(omega)
     if w.shape != (4, 4):
         raise ValueError("expected a 4x4 Choi operator")
-    return GeneralQubitMap((_VEC_SIGMA.conj() @ _realign(w, 2) @ _VEC_SIGMA.T).real)
+    return GeneralQubitMap(2.0 * (_TO_PAULI @ _realign(w) @ _FROM_PAULI).real)
 
 
 def _rotate_in(m: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
@@ -322,8 +314,8 @@ class PauliDiagonalMap:
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=float)
-        if c.shape != (4,) * c.ndim:
-            raise ValueError("coefficients must have shape (4,)*n")
+        if c.ndim == 0 or c.shape != (4,) * c.ndim:
+            raise ValueError("coefficients must have shape (4,)*n with n >= 1")
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         self.coeffs = c.copy()
@@ -340,11 +332,6 @@ class PauliDiagonalMap:
             q = np.moveaxis(np.tensordot(H4 / 4.0, q, axes=(1, axis)), 0, axis)
         return q
 
-    def superop(self) -> np.ndarray:
-        d = 2**self.nqubits
-        units = np.eye(d * d).reshape(d * d, d, d)  # column (a, b) is Phi[E_ab]
-        return _pauli_product(self.coeffs, units, diagonal=True).reshape(d * d, d * d).T
-
     def apply(self, x) -> np.ndarray:
         d = 2**self.nqubits
         x = np.asarray(x, dtype=np.complex128)
@@ -353,9 +340,12 @@ class PauliDiagonalMap:
         return _pauli_product(self.coeffs, x, diagonal=True)
 
     def choi(self) -> HermitianOperator:
-        """Choi operator, a ``4^n``-dimensional Hermitian matrix."""
+        """Choi operator, a ``4^n``-dimensional Hermitian matrix: the table, with
+        ones on the reference qubits, applied to the maximally entangled projector."""
         d = 2**self.nqubits
-        return HermitianOperator(_realign(self.superop(), d) / d, (d, d))
+        table = np.multiply.outer(self.coeffs, np.ones(self.coeffs.shape))
+        omega = _pauli_product(table, max_entangled_projector(d).matrix, diagonal=True)
+        return HermitianOperator(omega, (d, d))
 
 
 @dataclass(frozen=True)
@@ -377,7 +367,8 @@ def classify(m) -> ClassificationReport:
 
     The branch follows from the Pauli-basis matrix ``E`` (``m.matrix``) alone.
     A diagonal ``E`` takes the closed-form Pauli-map conditions.  Any other
-    map falls back on the Choi operator for CP / CcP / EB; positivity uses the
+    map falls back on its Choi operator and that operator's partial transpose
+    for CP / CcP / EB (EB is CP and CcP together); positivity uses the
     exact translated-family conditions when ``E`` has that shape and the
     numeric block-positivity oracle otherwise (the report records which).
     """
@@ -395,23 +386,20 @@ def classify(m) -> ClassificationReport:
         positive = bool(lam[0] >= 0 and np.max(np.abs(lam[1:])) <= lam[0])
         cp = bool(q.min() >= 0)
         ccp = bool(q_ccp.min() >= 0)
-        eb = cp and ccp
         margins["positivity"] = float(min(lam[0], (lam[0] - np.abs(lam[1:])).min()))
         margins["cp"] = float(q.min())
         margins["ccp"] = float(q_ccp.min())
-        margins["eb"] = float(min(q.min(), q_ccp.min()))
         method = "pauli-closed-form"
     else:
         omega = choi(m)
         omega_eigs = hermitian_spectrum(omega)
         cp = psd_verdict(omega_eigs) == "psd"
-        ccp_eigs = hermitian_spectrum(choi(compose(PauliMap.transposition(), m)))
-        ccp = psd_verdict(ccp_eigs) == "psd"
+        # The Choi operator of T . Phi is the full transpose of this partial
+        # transpose, so the two share their spectrum.
         pt_eigs = hermitian_spectrum(partial_transpose(omega, [1]))
-        eb = cp and psd_verdict(pt_eigs) == "psd"
+        ccp = psd_verdict(pt_eigs) == "psd"
         margins["cp"] = float(omega_eigs[0])
-        margins["ccp"] = float(ccp_eigs[0])
-        margins["eb"] = float(min(omega_eigs[0], pt_eigs[0]))
+        margins["ccp"] = float(pt_eigs[0])
         off = e - np.diag(np.diag(e))
         off[3, 0] = 0.0
         if tp and np.allclose(off, 0, atol=MATRIX_ATOL):
@@ -425,6 +413,8 @@ def classify(m) -> ClassificationReport:
             positive = value >= -PSD_CONFIRM_TOL
             margins["positivity"] = float(value)
             method = "numeric-block-positivity"
+    eb = cp and ccp
+    margins["eb"] = min(margins["cp"], margins["ccp"])
 
     return ClassificationReport(
         unital=unital,

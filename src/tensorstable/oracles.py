@@ -374,8 +374,9 @@ def decomposability_fixtures(mu: float = 0.1) -> DecomposabilityReport:
 
     Example 1: the two-qubit map F from the coefficient table above is
     completely positive and ``(Y x Y) = F . (Id x Id + T x T) / 2`` holds as
-    an identity of 16x16 superoperator matrices for the boundary map with
-    scalings ``(1/sqrt 2, 0, 1/sqrt 2)``.
+    an identity of coefficient tables for the boundary map with scalings
+    ``(1/sqrt 2, 0, 1/sqrt 2)``; maps diagonal in the product-Pauli basis
+    compose by multiplying their tables.
 
     Example 2: the second table's F is completely positive, and the convex
     family is 2-tensor-stable but neither CP nor CcP at the given ``mu``.
@@ -384,11 +385,8 @@ def decomposability_fixtures(mu: float = 0.1) -> DecomposabilityReport:
     ex1_min = f1.choi().min_eig()
 
     lam_b = np.array([1.0, 2**-0.5, 0.0, 2**-0.5])
-    doubled = PauliDiagonalMap(np.outer(lam_b, lam_b))
     eta = np.array([1.0, 1.0, -1.0, 1.0])
-    id_plus_tt = PauliDiagonalMap(np.ones((4, 4)) + np.outer(eta, eta))
-    rhs = f1.superop() @ id_plus_tt.superop() / 2.0
-    residual = float(np.abs(doubled.superop() - rhs).max())
+    residual = float(np.abs(np.outer(lam_b, lam_b) - _EX1_COEFFS * (1.0 + np.outer(eta, eta)) / 2.0).max())
 
     f2 = PauliDiagonalMap(_EX2_COEFFS)
     ex2_min = f2.choi().min_eig()

@@ -7,7 +7,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tensorstable.criteria import is_2tsp
-from tensorstable.linalg import SIGMA, HermitianOperator, hermitian_spectrum, kron, kron_all, symmetric_linspace
+from tensorstable.linalg import (
+    SIGMA,
+    HermitianOperator,
+    hermitian_spectrum,
+    kron,
+    kron_all,
+    partial_transpose,
+    psd_verdict,
+    symmetric_linspace,
+)
 from tensorstable.maps import (
     GeneralQubitMap,
     PauliDiagonalMap,
@@ -24,6 +33,7 @@ from tensorstable.maps import (
 )
 from tensorstable.maps import _pauli_product, _power_min_eigs
 from tensorstable.nonunital import NonUnitalFamilyMap
+from tensorstable.oracles import _EX1_COEFFS, _EX2_COEFFS
 
 RNG = np.random.default_rng(20240902)
 
@@ -384,6 +394,67 @@ class TestChoiArithmetic:
         for m in random_general_maps(200, np.random.default_rng(12)):
             self.assert_bitwise([m])
 
+    def test_map_from_choi_reads_the_superoperator(self):
+        # E = V* S V^T / 2 with S = 2 * realign(Omega) and V the rows vec(sigma_i).
+        vecs = np.array([s.reshape(-1) for s in SIGMA])
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            w = a + a.conj().T
+            realigned = w.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+            expected = (vecs.conj() @ realigned @ vecs.T).real
+            assert map_from_choi(w).matrix.tobytes() == expected.tobytes()
+
+
+def reference_classify(m, rep):
+    """``rep`` with CP, CcP and EB redone with a second Choi operator, that of
+    ``T . m``, for CcP; ``classify`` reads CcP off the partial transpose of
+    the first one and reproduces this route bit for bit."""
+    omega = choi(m)
+    omega_eigs = hermitian_spectrum(omega)
+    ccp_eigs = hermitian_spectrum(choi(compose(PauliMap.transposition(), m)))
+    pt_eigs = hermitian_spectrum(partial_transpose(omega, [1]))
+    cp = psd_verdict(omega_eigs) == "psd"
+    margins = {
+        **rep.margins,
+        "cp": float(omega_eigs[0]),
+        "ccp": float(ccp_eigs[0]),
+        "eb": float(min(omega_eigs[0], pt_eigs[0])),
+    }
+    return dataclasses.replace(
+        rep, cp=cp, ccp=psd_verdict(ccp_eigs) == "psd", eb=cp and psd_verdict(pt_eigs) == "psd", margins=margins
+    )
+
+
+class TestCcpFromPartialTranspose:
+    def assert_bitwise(self, maps):
+        for m in maps:
+            rep = classify(m)
+            ref = reference_classify(m, rep)
+            assert dataclasses.asdict(rep) == dataclasses.asdict(ref)
+            keys = sorted(ref.margins)
+            assert np.array([rep.margins[k] for k in keys]).tobytes() == np.array([ref.margins[k] for k in keys]).tobytes()
+
+    def test_translated_maps(self):
+        rng = np.random.default_rng(14)
+        self.assert_bitwise([NonUnitalFamilyMap(t, lam3) for t, *lam3 in rng.uniform(-1, 1, (200, 4))])
+
+    def test_general_maps(self):
+        self.assert_bitwise(random_general_maps(200, np.random.default_rng(15)))
+
+    def test_near_unital_general_maps(self):
+        # The generic maps of the per-map benchmark: a small translation and
+        # Bloch matrix near a diagonal one.
+        rng = np.random.default_rng(16)
+        maps = []
+        for _ in range(200):
+            e = np.zeros((4, 4))
+            e[0, 0] = 1.0
+            e[1:, 0] = rng.uniform(-0.2, 0.2, 3)
+            e[1:, 1:] = np.diag(rng.uniform(-0.8, 0.8, 3)) + rng.uniform(-0.15, 0.15, (3, 3))
+            maps.append(GeneralQubitMap(e))
+        self.assert_bitwise(maps)
+
 
 class TestPauliProduct:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -469,15 +540,43 @@ class TestPauliDiagonalMap:
         rhs = tensor_apply([m, m], rho).matrix
         assert np.abs(lhs - rhs).max() < 1e-12
 
-    def test_identity_superop(self):
+    def test_identity_choi_is_the_max_entangled_projector(self):
         ident = PauliDiagonalMap(np.ones((4, 4)))
-        assert_allclose(ident.superop(), np.eye(16), atol=1e-13)
+        assert_allclose(ident.choi().matrix, max_entangled_projector(4).matrix, atol=1e-13)
+
+    @staticmethod
+    def superop_route_choi(coeffs):
+        """Choi operator through the row-major superoperator, realigned."""
+        d = 2**coeffs.ndim
+        units = np.eye(d * d).reshape(d * d, d, d)  # column (a, b) is Phi[E_ab]
+        s = _pauli_product(coeffs, units, diagonal=True).reshape(d * d, d * d).T
+        return HermitianOperator(s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d) / d, (d, d))
+
+    @pytest.mark.parametrize("coeffs", [_EX1_COEFFS, _EX2_COEFFS], ids=["example1", "example2"])
+    def test_example_chois_match_the_superoperator_route(self, coeffs):
+        assert PauliDiagonalMap(coeffs).choi().matrix.tobytes() == self.superop_route_choi(coeffs).matrix.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_choi_matches_the_superoperator_route(self, n):
+        rng = np.random.default_rng(17 + n)
+        for _ in range(10):
+            coeffs = rng.uniform(-1, 1, (4,) * n)
+            omega = PauliDiagonalMap(coeffs).choi()
+            assert omega.dims == (2**n, 2**n)
+            assert np.abs(omega.matrix - self.superop_route_choi(coeffs).matrix).max() <= 1e-15
 
     def test_choi_eigenvalues_are_weights(self):
         lam = RNG.uniform(-1, 1, (4, 4))
         f = PauliDiagonalMap(lam)
         eigs = np.sort(f.choi().spectrum())
         assert_allclose(eigs, np.sort(f.q.reshape(-1)), atol=1e-12)
+
+
+class TestGeneralQubitMap:
+    def test_repr_shows_off_diagonal_entries(self):
+        e = np.eye(4)
+        e[1, 2] = 0.9
+        assert repr(GeneralQubitMap(np.eye(4))) != repr(GeneralQubitMap(e))
 
 
 class TestJson:
@@ -560,3 +659,8 @@ class TestJson:
 def test_non_finite_input_is_rejected_where_it_enters(build, bad):
     with pytest.raises(ValueError, match="finite"):
         build(bad)
+
+
+def test_zero_qubit_coefficients_are_rejected():
+    with pytest.raises(ValueError, match="shape"):
+        PauliDiagonalMap(2.0)
