@@ -73,6 +73,10 @@ BOUNDARY_TOL = 1e-12
 NEGATIVITY_TOL = 1e-9
 STATE_TRACE_TOL = 1e-12
 STATE_PSD_TOL = 1e-10
+# A threshold search evaluates densely only the maps whose closed-form score is
+# within SCREEN_TOL of the smallest; the closed forms match the dense spectra
+# to about 1e-15, so every exact minimiser passes the screen.
+SCREEN_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):

@@ -15,7 +15,8 @@ import numpy as np
 
 from .criteria import as_lambda_point, hyperboloid_point, hyperboloid_slacks, is_3tsp
 from .linalg import (
-    NEGATIVITY_TOL, STATE_PSD_TOL, STATE_TRACE_TOL, HermitianOperator, rotated_ghz3, symmetric_linspace,
+    NEGATIVITY_TOL, SCREEN_TOL, STATE_PSD_TOL, STATE_TRACE_TOL, HermitianOperator, rotated_ghz3,
+    symmetric_linspace,
 )
 from .maps import _power_min_eigs
 
@@ -185,6 +186,35 @@ def _dedupe(pts: np.ndarray) -> np.ndarray:
     return pts[last[np.argsort(first)]]
 
 
+def _ghz_min_eigs(lams: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of ``Phi_lam^{(x)3}[|GHZ><GHZ|]`` for each row of an
+    ``(m, 3)`` stack.  Pauli maps commute with Pauli conjugations, so the output
+    is diagonal in the GHZ basis."""
+    l1, l2, l3 = lams.T
+    return np.minimum(1 + 3 * l3**2 - np.abs(l1**3 + 3 * l1 * l2**2), 1 - l3**2 - np.abs(l1**3 - l1 * l2**2)) / 8
+
+
+def _w_min_eigs(lams: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of ``Phi_lam^{(x)3}[|W><W|]`` for each row of an
+    ``(m, 3)`` stack.
+
+    The output commutes with the Z-parity and with qubit permutations.  In the
+    odd sector (``z = l3``) it is a 2x2 block ``[[a, b], [b, c]]`` on
+    ``{W, |111>}`` plus a doubly degenerate ``s``; the even sector (``|000>``
+    and the flipped W) is the same with ``z = -l3``.
+    """
+    l1, l2, l3 = lams.T
+    u, v = l1**2 + l2**2, l1**2 - l2**2
+    sectors = []
+    for z in (l3, -l3):
+        a = 1 + z / 3 + 4 * u / 3 + z**2 / 3 + 4 * u * z / 3 + z**3
+        c = (1 - z) ** 2 * (1 + z)
+        b = 2 / np.sqrt(3) * v * (1 - z)
+        s = 1 + z / 3 - 2 * u / 3 + z**2 / 3 - 2 * u * z / 3 + z**3
+        sectors.append(np.minimum((a + c) / 2 - np.hypot((a - c) / 2, b), s))
+    return np.minimum(*sectors) / 8
+
+
 def threshold_search(family: str, n: int, steps: int = 21) -> ThresholdResult:
     """Smallest noise weight at which some certified map detects the state.
 
@@ -198,6 +228,16 @@ def threshold_search(family: str, n: int, steps: int = 21) -> ThresholdResult:
     ``m``, so the map with the smallest ``m`` gives ``q_star`` in closed
     form.  When no scanned map detects even the pure state the result is
     ``q_star = 1.0`` with an empty witness.
+
+    Every certified map is first scored by the closed-form spectrum of its
+    output (:func:`_ghz_min_eigs`, :func:`_w_min_eigs`); only the maps scoring
+    within ``SCREEN_TOL`` of the smallest score, in scan order, have their
+    output built and diagonalised.  The closed forms agree with the dense
+    eigenvalues to about ``1e-15``, far inside ``SCREEN_TOL / 2``, so every map
+    attaining the dense minimum is kept, and the first of them, the one an
+    argmin over all maps would pick, is the witness.  The dense routine gives
+    each row the same bits whatever rows share its batch, so the result is
+    bit-identical to evaluating every map densely.
     """
     key = family.lower().removesuffix("depol").rstrip("-_")
     if key not in ("ghz", "w", "w3"):
@@ -209,6 +249,8 @@ def threshold_search(family: str, n: int, steps: int = 21) -> ThresholdResult:
 
     lams = _scan_maps_n1(steps) if n == 1 else _scan_maps_n2(steps)
     lams = lams[_certified(lams, n)]
+    score = _ghz_min_eigs(lams) if key == "ghz" else _w_min_eigs(lams)
+    lams = lams[score <= score.min() + SCREEN_TOL]
     pure = build_state("ghz" if key == "ghz" else "w3", 1.0).rho.matrix
     m_min = _power_min_eigs(np.insert(lams, 0, 1.0, axis=1), pure)
     best = int(np.argmin(m_min))

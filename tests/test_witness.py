@@ -10,15 +10,18 @@ from numpy.testing import assert_allclose
 import tensorstable
 from tensorstable.criteria import hyperboloid_point, is_2tsp, is_3tsp
 from tensorstable.linalg import BLOCH_ROTATIONS, HermitianOperator, kron, symmetric_linspace
-from tensorstable.maps import PauliMap, tensor_apply
+from tensorstable.maps import PauliMap, _power_min_eigs, tensor_apply
 from tensorstable.witness import (
     NEGATIVITY_TOL,
     SHRINK,
     MultiQubitState,
+    ThresholdResult,
     _certified,
     _dedupe,
+    _ghz_min_eigs,
     _scan_maps_n1,
     _scan_maps_n2,
+    _w_min_eigs,
     build_state,
     depth_witness,
     ghz_variants,
@@ -229,6 +232,72 @@ class TestThresholdSearch:
         env = {**os.environ, "PYTHONPATH": str(Path(tensorstable.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert int(proc.stdout) / 1024 < 100
+
+    def test_screen_passes_few_rows_to_dense_evaluation(self, monkeypatch):
+        # The steps=81 scan certifies 65,226 maps; only the few the closed-form
+        # screen keeps may reach the dense eigenvalue routine.
+        rows = []
+
+        def counted(lams, rho):
+            rows.append(len(lams))
+            return _power_min_eigs(lams, rho)
+
+        monkeypatch.setattr("tensorstable.witness._power_min_eigs", counted)
+        threshold_search("w", 2, steps=81)
+        assert 0 < sum(rows) < 100
+
+
+def _edge_rows(rng):
+    """Ties and edges of the closed forms: l1 = +-l2, l3 in {0, +-1}, lambda = 0,
+    and the corners, edge midpoints and centre of the Bloch cube."""
+    l1 = rng.uniform(-1.5, 1.5, 60)
+    l3 = rng.choice([0.0, 1.0, -1.0], 60)
+    ties = np.stack([l1, rng.choice([1.0, -1.0], 60) * l1, l3], axis=1)
+    free_l3 = np.stack([l1, -l1, rng.uniform(-1.5, 1.5, 60)], axis=1)
+    grid = np.stack(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]), axis=-1).reshape(-1, 3)
+    return np.concatenate([ties, free_l3, grid, np.zeros((1, 3))])
+
+
+class TestClosedFormSpectra:
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            lambda rng: rng.uniform(-1.0, 1.0, (500, 3)),
+            lambda rng: rng.uniform(-2.0, 2.0, (500, 3)),
+            _edge_rows,
+        ],
+        ids=["inside-cube", "outside-cube", "edges"],
+    )
+    @pytest.mark.parametrize("kind, closed_form", [("ghz", _ghz_min_eigs), ("w3", _w_min_eigs)])
+    def test_matches_dense_spectrum(self, kind, closed_form, stack):
+        lams = stack(np.random.default_rng(7))
+        dense = _power_min_eigs(np.insert(lams, 0, 1.0, axis=1), build_state(kind, 1.0).rho.matrix)
+        assert np.abs(closed_form(lams) - dense).max() <= 1e-12
+
+
+def _threshold_search_dense(family, n, steps):
+    """Reference for threshold_search: every certified map evaluated densely."""
+    lams = _scan_maps_n1(steps) if n == 1 else _scan_maps_n2(steps)
+    lams = lams[_certified(lams, n)]
+    pure = build_state("ghz" if family == "ghz" else "w3", 1.0).rho.matrix
+    m_min = _power_min_eigs(np.insert(lams, 0, 1.0, axis=1), pure)
+    best = int(np.argmin(m_min))
+    m = float(m_min[best])
+    if m >= -NEGATIVITY_TOL:
+        return ThresholdResult(q_star=1.0, witness=None, neg_eig=m)
+    return ThresholdResult(q_star=(0.125 + NEGATIVITY_TOL) / (0.125 - m), witness=lams[best], neg_eig=m)
+
+
+@pytest.mark.parametrize("steps", [2, 3, 5, 11, 21])
+@pytest.mark.parametrize("family, n", [("ghz", 1), ("ghz", 2), ("w", 1), ("w", 2)])
+def test_screen_equals_dense_search_bytewise(family, n, steps):
+    got, want = threshold_search(family, n, steps=steps), _threshold_search_dense(family, n, steps)
+    assert np.float64(got.q_star).tobytes() == np.float64(want.q_star).tobytes()
+    assert np.float64(got.neg_eig).tobytes() == np.float64(want.neg_eig).tobytes()
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert got.witness.tobytes() == want.witness.tobytes()
 
 
 # Loop versions of the scan builders: the reference the array builders must
