@@ -9,6 +9,7 @@ resolution ``threshold_search(..., steps=)`` scans its maps at.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -23,7 +24,7 @@ from .criteria import (
     ntsp_sufficient_ball,
 )
 from .linalg import BOUNDARY_TOL, ConvergenceError
-from .maps import PauliMap, classify, map_from_json
+from .maps import PauliMap, classify, map_from_json, map_to_json
 from .nonunital import (
     NonUnitalFamilyMap,
     classify_nonunital_positive,
@@ -135,28 +136,14 @@ def _cmd_classify(args) -> dict:
         else:
             m = PauliMap(lam)
 
-    rep = classify(m)
-    payload = {
-        "map": {"lambda": list(np.diag(np.asarray(m.matrix)))},
-        "report": {
-            "unital": rep.unital,
-            "trace_preserving": rep.trace_preserving,
-            "positive": rep.positive,
-            "cp": rep.cp,
-            "ccp": rep.ccp,
-            "eb": rep.eb,
-            "margins": rep.margins,
-            "positivity_method": rep.positivity_method,
-        },
-        "criteria": {},
-    }
-    # The closed forms that apply follow from the family classify recognised.
-    e = np.asarray(m.matrix)
-    if rep.positivity_method != "pauli-closed-form":
-        payload["map"]["t"] = [float(v) for v in e[1:, 0]]
-    # Finite inputs can still overflow the criteria's powers to inf/nan slacks.
+    # Finite inputs can still overflow classify's and the criteria's arithmetic
+    # to inf/nan.
     try:
         with np.errstate(over="raise", invalid="raise"):
+            rep = classify(m)
+            payload = {"map": json.loads(map_to_json(m)), "report": dataclasses.asdict(rep), "criteria": {}}
+            # The closed forms that apply follow from the family classify recognised.
+            e = np.asarray(m.matrix)
             if rep.positivity_method == "nonunital-closed-form":
                 fam = NonUnitalFamilyMap(t=float(e[3, 0]), lam3=tuple(np.diag(e)[1:]))
                 payload["criteria"]["positive_family"] = _verdict_dict(classify_nonunital_positive(fam))

@@ -146,17 +146,20 @@ def ntsp_necessary(lam: LambdaPoint, n: int) -> CriterionVerdict:
             >= | (l_j+l_k)^p (l_j-l_k)^q + s (l_j-l_k)^p (l_j+l_k)^q |.
 
     Both sign branches are enforced; this reproduces :func:`is_2tsp` at
-    ``n = 2`` and :func:`is_3tsp` at ``n = 3``.
+    ``n = 2`` and :func:`is_3tsp` at ``n = 3``.  Swapping ``j`` and ``k``
+    negates ``l_j - l_k`` and swapping ``p`` and ``q`` swaps the two terms on
+    the right, so each inequality is evaluated once: for ``j < k`` and
+    ``p <= n // 2``.  The dropped ones repeat these slacks bit for bit.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     pt = as_lambda_point(lam)
     slacks = {}
-    for i, j, k in permutations((0, 1, 2)):
+    for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
         li, lj, lk = pt[i], pt[j], pt[k]
         u, v = 1.0 + li, 1.0 - li
         x, y = lj + lk, lj - lk
-        for p in range(n + 1):
+        for p in range(n // 2 + 1):
             q = n - p
             lhs = u**p * v**q + u**q * v**p
             rp = x**p * y**q

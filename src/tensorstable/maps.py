@@ -271,19 +271,11 @@ def _pauli_product(e, x, diagonal: bool = False) -> np.ndarray:
     return _permute_tail(t.reshape(lead + (2,) * (2 * n)), np.argsort(pairs)).reshape(lead + (2**n, 2**n))
 
 
-# Coefficient-table entries (4**n per row) that _power_min_eigs evaluates at
-# once, so its complex intermediates stay near 4 MB each whatever the rows.
-_POWER_BLOCK = 2**18
-
-
 def _power_min_eigs(lams, rho) -> np.ndarray:
     """Smallest eigenvalue of ``Phi_lam^{(x)n}[rho]`` for each row of an ``(m, 4)``
     stack of Pauli-map lambdas; ``n`` is read from the ``2**n``-dimensional ``rho``."""
     lams = np.asarray(lams, dtype=float)
     n = np.shape(rho)[-1].bit_length() - 1
-    rows = max(1, _POWER_BLOCK // 4**n)
-    if len(lams) > rows:
-        return np.concatenate([_power_min_eigs(lams[i : i + rows], rho) for i in range(0, len(lams), rows)])
     # Coefficient table of the n-fold power: table[r, i1, ..., in] = prod_k lams[r, ik].
     table = lams
     for k in range(1, n):
@@ -449,6 +441,9 @@ def map_to_json(m) -> str:
 
 def _finite_floats(values, name: str) -> list[float]:
     try:
+        # float() would read a string's digits and a bool as numbers.
+        if isinstance(values, str) or any(isinstance(v, (str, bool)) for v in values):
+            raise TypeError
         out = [float(v) for v in values]
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a list of numbers") from None

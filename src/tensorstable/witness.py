@@ -166,24 +166,21 @@ def _scan_maps_n1(steps: int) -> np.ndarray:
     # Cube faces in (axis, sign, a, b) order: roll[axis, j] is the column of
     # (sign, a, b) that lands on axis j.
     roll = (np.arange(3) - np.arange(3)[:, None]) % 3
-    return _dedupe(face[:, roll].transpose(1, 0, 2).reshape(-1, 3))
+    return face[:, roll].transpose(1, 0, 2).reshape(-1, 3)
 
 
 def _scan_maps_n2(steps: int) -> np.ndarray:
     grid = np.linspace(0.0, 1.0, steps)
     base = hyperboloid_point(*np.meshgrid(grid, grid, indexing="ij")).reshape(-1, 3)
     pts = np.einsum("tij,pj->pti", np.array(variant_transforms()), base)
-    return _dedupe(pts.reshape(-1, 3) * (1.0 - SHRINK))
+    return pts.reshape(-1, 3) * (1.0 - SHRINK)
 
 
 def _dedupe(pts: np.ndarray) -> np.ndarray:
     """Rows unique up to rounding at 1e-12 (``-0.0`` equal to ``0.0``), in order of
     first occurrence, each holding the value of its last occurrence."""
-    key = np.round(pts, 12) + 0.0
-    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    last = np.zeros(len(first), dtype=int)
-    np.maximum.at(last, inverse.reshape(-1), np.arange(len(pts)))
-    return pts[last[np.argsort(first)]]
+    rows = {tuple(np.round(p, 12)): p for p in pts}
+    return np.array(list(rows.values()))
 
 
 def _ghz_min_eigs(lams: np.ndarray) -> np.ndarray:
@@ -230,17 +227,19 @@ def threshold_search(family: str, n: int, steps: int = 21) -> ThresholdResult:
     ``q_star = 1.0`` with an empty witness.
 
     Every certified map is first scored by the closed-form spectrum of its
-    output (:func:`_ghz_min_eigs`, :func:`_w_min_eigs`); only the maps scoring
-    within ``SCREEN_TOL`` of the smallest score, in scan order, have their
-    output built and diagonalised.  The closed forms agree with the dense
-    eigenvalues to about ``1e-15``, far inside ``SCREEN_TOL / 2``, so every map
-    attaining the dense minimum is kept, and the first of them, the one an
-    argmin over all maps would pick, is the witness.  The dense routine gives
-    each row the same bits whatever rows share its batch, so the result is
-    bit-identical to evaluating every map densely.
+    output (:func:`_ghz_min_eigs`, :func:`_w_min_eigs`).  Only the maps within
+    ``SCREEN_TOL`` of the smallest score are deduped (:func:`_dedupe`), then
+    built and diagonalised; the dense routine gives each row the same bits
+    whatever rows share its batch.  The result is bit-identical to deduping the
+    whole scan and evaluating every certified map densely: (1) duplicates are
+    certified alike, since their values (``n = 1``) or hyperboloid slacks
+    (``n = 2``) are permuted; (2) the closed forms agree with the dense
+    eigenvalues to about ``1e-15`` and duplicates differ by under ``1e-12``,
+    both far inside ``SCREEN_TOL``, so every minimiser and all its duplicates
+    pass the screen; (3) both filters keep scan order, so the argmin picks the
+    same first position holding the same last value.
     """
-    key = family.lower().removesuffix("depol").rstrip("-_")
-    if key not in ("ghz", "w", "w3"):
+    if family not in ("ghz", "w"):
         raise ValueError(f"unknown state family {family!r}")
     if n not in (1, 2):
         raise ValueError(f"threshold search supports n in {{1, 2}}, got {n}")
@@ -249,9 +248,9 @@ def threshold_search(family: str, n: int, steps: int = 21) -> ThresholdResult:
 
     lams = _scan_maps_n1(steps) if n == 1 else _scan_maps_n2(steps)
     lams = lams[_certified(lams, n)]
-    score = _ghz_min_eigs(lams) if key == "ghz" else _w_min_eigs(lams)
-    lams = lams[score <= score.min() + SCREEN_TOL]
-    pure = build_state("ghz" if key == "ghz" else "w3", 1.0).rho.matrix
+    score = _ghz_min_eigs(lams) if family == "ghz" else _w_min_eigs(lams)
+    lams = _dedupe(lams[score <= score.min() + SCREEN_TOL])
+    pure = build_state("ghz" if family == "ghz" else "w3", 1.0).rho.matrix
     m_min = _power_min_eigs(np.insert(lams, 0, 1.0, axis=1), pure)
     best = int(np.argmin(m_min))
     m = float(m_min[best])

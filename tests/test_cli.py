@@ -133,6 +133,13 @@ class TestClassify:
         assert code == 1
         assert "Traceback" not in err
 
+    def test_map_file_with_a_string_for_lambda(self, capsys, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text('{"lambda": "123"}')
+        code, out, err = run(capsys, "classify", "--map", str(path))
+        assert code == 1 and out == ""
+        assert "lambda" in err
+
     def test_map_file_without_lambda(self, capsys, tmp_path):
         path = tmp_path / "map.json"
         path.write_text('{"t": [0.0, 0.0, 0.5]}')
@@ -150,11 +157,13 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--lambda", "1e300,1e300,1e300")
         assert code in (1, 2) and out == ""
 
-    @pytest.mark.parametrize("lam", ["1e300,1e300,1e300", "1e-310,1,1,1"])
-    def test_overflow_is_a_domain_error_naming_the_input(self, capsys, lam):
+    @pytest.mark.parametrize("lam", ["1e300,1e300,1e300", "1e-310,1,1,1", "1e308,1e308,1e308"])
+    def test_overflow_is_a_domain_error_naming_the_input(self, capsys, recwarn, lam):
         code, out, err = run(capsys, "classify", "--lambda", lam)
         assert code == 2 and out == ""
         assert err.startswith("domain error: --lambda") and err.count("\n") == 1
+        # pytest captures warnings before they reach stderr; recwarn sees them.
+        assert "Warning" not in err and not recwarn.list
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

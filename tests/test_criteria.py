@@ -1,8 +1,12 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from tensorstable.criteria import (
+    _verdict,
+    as_lambda_point,
     depolarizing_pair_positive,
     hyperboloid_point,
     is_2tsp,
@@ -100,7 +104,44 @@ class TestIs3Tsp:
         assert v.satisfied
 
 
+def _ntsp_necessary_loop(lam, n):
+    """Reference for ntsp_necessary: every permutation and every split p + q = n."""
+    pt = as_lambda_point(lam)
+    slacks = {}
+    for i, j, k in permutations((0, 1, 2)):
+        li, lj, lk = pt[i], pt[j], pt[k]
+        u, v = 1.0 + li, 1.0 - li
+        x, y = lj + lk, lj - lk
+        for p in range(n + 1):
+            q = n - p
+            lhs = u**p * v**q + u**q * v**p
+            rp = x**p * y**q
+            rq = x**q * y**p
+            base = f"i={i + 1},j={j + 1},k={k + 1},p={p}"
+            slacks[f"{base},s=+1"] = lhs - abs(rp + rq)
+            slacks[f"{base},s=-1"] = lhs - abs(rp - rq)
+    return _verdict(slacks)
+
+
+def _necessary_points(rng):
+    """Random points, ties l1 = +-l2, a grid of special values and signed zeros."""
+    free = rng.uniform(-1.2, 1.2, (300, 3))
+    l1 = rng.uniform(-1, 1, 100)
+    ties = np.stack([l1, rng.choice([1.0, -1.0], 100) * l1, rng.uniform(-1, 1, 100)], axis=1)
+    special = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2**-0.5, 1 / 3, 1.0 - 1e-12]
+    grid = np.stack(np.meshgrid(special, special, special), axis=-1).reshape(-1, 3)
+    return np.concatenate([free, ties, rng.permuted(ties, axis=1), grid])
+
+
 class TestNtspNecessary:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_full_loop_bytewise(self, n):
+        for p in _necessary_points(np.random.default_rng(n)):
+            got, want = ntsp_necessary(p, n), _ntsp_necessary_loop(p, n)
+            assert got.satisfied == want.satisfied
+            assert np.float64(got.worst_slack).tobytes() == np.float64(want.worst_slack).tobytes()
+            assert got.binding_constraint == want.binding_constraint
+
     def test_specializes_to_2tsp(self):
         for p in random_points(2000):
             assert ntsp_necessary(p, 2).satisfied == is_2tsp(p).satisfied

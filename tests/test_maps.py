@@ -513,15 +513,6 @@ class TestPowerMinEigs:
         assert got.shape == (4,)
         assert np.abs(got - expected).max() < 1e-12
 
-    @pytest.mark.parametrize("n", [1, 3, 6])
-    def test_chunks_leave_every_minimum_bitwise_unchanged(self, n, monkeypatch):
-        rng = np.random.default_rng(n)
-        lams = rng.uniform(-1, 1, (50, 4))
-        rho = rand_state(n, rng).matrix
-        whole = _power_min_eigs(lams, rho)
-        monkeypatch.setattr("tensorstable.maps._POWER_BLOCK", 7 * 4**n)  # chunks of 7 rows
-        assert _power_min_eigs(lams, rho).tobytes() == whole.tobytes()
-
 
 class TestPauliDiagonalMap:
     def test_single_qubit_matches_pauli_map(self):
@@ -621,6 +612,10 @@ class TestJson:
             '{"lambda": [1, "a", 0]}',
             '{"lambda": [NaN, 0, 0]}',
             '{"lambda": [0, 0, 0], "t": Infinity}',
+            '{"lambda": "123"}',
+            '{"lambda": [true, false, 0]}',
+            '{"lambda": [0, 0, 0], "t": true}',
+            '{"lambda": [0, 0, 0], "t": "0.3"}',
         ],
     )
     def test_rejects_malformed_json(self, text):

@@ -194,14 +194,10 @@ class TestThresholdSearch:
         assert above.lower_bound == n + 1
         assert below.lower_bound == 1
 
-    def test_family_normalization(self):
-        a = threshold_search("ghz", 1, steps=5)
-        b = threshold_search("ghzDepol", 1, steps=5)
-        assert a.q_star == b.q_star
-
-    def test_rejects_unknown_family(self):
+    @pytest.mark.parametrize("family", ["cluster", "ghzDepol", "W"])
+    def test_rejects_unknown_family(self, family):
         with pytest.raises(ValueError, match="family"):
-            threshold_search("cluster", 1)
+            threshold_search(family, 1)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError, match="n in"):
@@ -221,8 +217,8 @@ class TestThresholdSearch:
             threshold_search("ghz", 2, steps=steps)
 
     def test_peak_memory_stays_bounded_at_fine_steps(self):
-        # 65,226 maps at steps 81; the import alone takes about 30 MB.  A fresh
-        # interpreter, so the peak (ru_maxrss, in KB on Linux) is this search's.
+        # 157,464 scanned rows at steps 81; the import alone takes about 30 MB.
+        # A fresh interpreter, so the peak (ru_maxrss, in KB on Linux) is this search's.
         pytest.importorskip("resource")
         code = (
             "import resource; from tensorstable.witness import threshold_search; "
@@ -234,7 +230,7 @@ class TestThresholdSearch:
         assert int(proc.stdout) / 1024 < 100
 
     def test_screen_passes_few_rows_to_dense_evaluation(self, monkeypatch):
-        # The steps=81 scan certifies 65,226 maps; only the few the closed-form
+        # The steps=81 scan certifies 157,464 rows; only the few the closed-form
         # screen keeps may reach the dense eigenvalue routine.
         rows = []
 
@@ -276,8 +272,9 @@ class TestClosedFormSpectra:
 
 
 def _threshold_search_dense(family, n, steps):
-    """Reference for threshold_search: every certified map evaluated densely."""
-    lams = _scan_maps_n1(steps) if n == 1 else _scan_maps_n2(steps)
+    """Reference for threshold_search: the whole scan deduped, then every
+    certified map evaluated densely."""
+    lams = _dedupe_loop(_scan_maps_n1(steps) if n == 1 else _scan_maps_n2(steps))
     lams = lams[_certified(lams, n)]
     pure = build_state("ghz" if family == "ghz" else "w3", 1.0).rho.matrix
     m_min = _power_min_eigs(np.insert(lams, 0, 1.0, axis=1), pure)
@@ -288,7 +285,8 @@ def _threshold_search_dense(family, n, steps):
     return ThresholdResult(q_star=(0.125 + NEGATIVITY_TOL) / (0.125 - m), witness=lams[best], neg_eig=m)
 
 
-@pytest.mark.parametrize("steps", [2, 3, 5, 11, 21])
+# Steps 7 needs the survivors deduped; at steps 50 symmetric_linspace's ends are not exactly +-1.
+@pytest.mark.parametrize("steps", [2, 3, 5, 7, 11, 21, 50])
 @pytest.mark.parametrize("family, n", [("ghz", 1), ("ghz", 2), ("w", 1), ("w", 2)])
 def test_screen_equals_dense_search_bytewise(family, n, steps):
     got, want = threshold_search(family, n, steps=steps), _threshold_search_dense(family, n, steps)
@@ -300,8 +298,8 @@ def test_screen_equals_dense_search_bytewise(family, n, steps):
         assert got.witness.tobytes() == want.witness.tobytes()
 
 
-# Loop versions of the scan builders: the reference the array builders must
-# reproduce byte for byte.
+# Loop versions of the scan builders and of the dedupe: the reference the
+# array builders and threshold_search must reproduce byte for byte.
 def _dedupe_loop(pts):
     seen = {}
     for p in pts:
@@ -321,7 +319,7 @@ def _scan_maps_n1_loop(steps):
                     lam[(axis + 1) % 3] = a
                     lam[(axis + 2) % 3] = b
                     pts.append(lam)
-    return _dedupe_loop(np.array(pts))
+    return np.array(pts)
 
 
 def _scan_maps_n2_loop(steps):
@@ -333,7 +331,7 @@ def _scan_maps_n2_loop(steps):
             base = hyperboloid_point(x, y)
             for t in transforms:
                 pts.append((t @ base) * (1.0 - SHRINK))
-    return _dedupe_loop(np.array(pts))
+    return np.array(pts)
 
 
 class TestScanArrays:
