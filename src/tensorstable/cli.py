@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -23,7 +24,7 @@ from .criteria import (
     ntsp_necessary,
     ntsp_sufficient_ball,
 )
-from .linalg import BOUNDARY_TOL, ConvergenceError
+from .linalg import ConvergenceError
 from .maps import PauliMap, classify, map_from_json, map_to_json
 from .nonunital import (
     NonUnitalFamilyMap,
@@ -60,15 +61,18 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _numpy_scalar(obj):
+def _json_default(obj):
     # np.float64 subclasses float and encodes as one; the other numpy scalars do not.
     if isinstance(obj, (np.bool_, np.integer)):
         return obj.item()
+    # Reports and criterion verdicts encode as their fields.
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload, args) -> None:
-    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_numpy_scalar) + "\n", args)
+    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_json_default) + "\n", args)
 
 
 def _finite_float(text: str) -> float:
@@ -110,12 +114,12 @@ def _parse_lambda(text: str) -> tuple[float, ...]:
     return vals
 
 
-def _verdict_dict(v) -> dict:
-    return {
-        "satisfied": bool(v.satisfied),
-        "worst_slack": float(v.worst_slack),
-        "binding_constraint": v.binding_constraint,
-    }
+def _bloch_scalings(text: str) -> tuple[float, float, float]:
+    """``(l1, l2, l3)`` of ``--lambda``; an explicit ``l0`` other than 1 is a domain error."""
+    lam = _parse_lambda(text)
+    if lam[0] != 1.0:
+        raise ValueError(f"--lambda takes l0 = 1 only here, got l0 = {lam[0]!r}")
+    return lam[1:]
 
 
 def _cmd_classify(args) -> dict:
@@ -127,41 +131,35 @@ def _cmd_classify(args) -> dict:
                 m = map_from_json(fh.read())
         except (OSError, ValueError) as exc:
             raise _UsageError(f"bad --map file: {exc}") from None
+    elif args.t is not None:
+        m = NonUnitalFamilyMap(t=args.t, lam3=_bloch_scalings(args.lam))
     else:
-        lam = _parse_lambda(args.lam)
-        if args.t is not None:
-            if lam[0] != 1.0:
-                raise ValueError("translated maps require l0 = 1")
-            m = NonUnitalFamilyMap(t=args.t, lam3=lam[1:])
-        else:
-            m = PauliMap(lam)
+        m = PauliMap(_parse_lambda(args.lam))
 
     # Finite inputs can still overflow classify's and the criteria's arithmetic
     # to inf/nan.
     try:
         with np.errstate(over="raise", invalid="raise"):
             rep = classify(m)
-            payload = {"map": json.loads(map_to_json(m)), "report": dataclasses.asdict(rep), "criteria": {}}
+            payload = {"map": json.loads(map_to_json(m)), "report": rep, "criteria": {}}
             # The closed forms that apply follow from the family classify recognised.
             e = np.asarray(m.matrix)
             if rep.positivity_method == "nonunital-closed-form":
                 fam = NonUnitalFamilyMap(t=float(e[3, 0]), lam3=tuple(np.diag(e)[1:]))
-                payload["criteria"]["positive_family"] = _verdict_dict(classify_nonunital_positive(fam))
-                payload["criteria"]["ghz_output"] = _verdict_dict(ghz_output_conditions(fam))
-                if fam.interior_gap() > BOUNDARY_TOL:
-                    payload["criteria"]["2tsp"] = _verdict_dict(is_2tsp_nonunital(fam))
+                payload["criteria"]["positive_family"] = classify_nonunital_positive(fam)
+                payload["criteria"]["ghz_output"] = ghz_output_conditions(fam)
+                if fam.is_interior():
+                    payload["criteria"]["2tsp"] = is_2tsp_nonunital(fam)
             elif rep.positivity_method == "pauli-closed-form":
                 lam3 = np.diag(e)[1:] / e[0, 0] if e[0, 0] != 0 else np.diag(e)[1:]
-                payload["criteria"]["2tsp"] = _verdict_dict(is_2tsp(lam3))
-                payload["criteria"]["3tsp"] = _verdict_dict(is_3tsp(lam3))
-                payload["criteria"]["necessary"] = {
-                    str(n): _verdict_dict(ntsp_necessary(lam3, n)) for n in (4, 5)
-                }
+                payload["criteria"]["2tsp"] = is_2tsp(lam3)
+                payload["criteria"]["3tsp"] = is_3tsp(lam3)
+                payload["criteria"]["necessary"] = {str(n): ntsp_necessary(lam3, n) for n in (4, 5)}
                 payload["criteria"]["ball"] = {
                     str(n): bool(ntsp_sufficient_ball(lam3, n)) for n in (2, 3, 4)
                 }
     except FloatingPointError as exc:
-        source = "--map" if args.map else "--lambda"
+        source = "--map" if args.map else "--lambda" if args.t is None else "--lambda and --t"
         raise ValueError(f"{source} values overflow the closed-form criteria ({exc})") from None
     return payload
 
@@ -170,10 +168,7 @@ def _cmd_region(args, summary_only: bool = False):
     params = {"t": args.t} if args.t is not None else None
     if params and "t" not in region_params(args.criterion):
         raise _UsageError(f"--t does not apply to --criterion {args.criterion}")
-    try:
-        rep = region_scan(args.criterion, steps=args.grid, params=params, seed=args.seed)
-    except MemoryError:
-        raise _UsageError(f"--grid {args.grid} is too fine: its points do not fit in memory") from None
+    rep = region_scan(args.criterion, steps=args.grid, params=params, seed=args.seed)
     if summary_only:
         return {"criterion": rep.criterion, "params": rep.params, "summary": rep.summary}
     _write(rep.to_csv() if args.format == "csv" else rep.to_json() + "\n", args)
@@ -181,14 +176,14 @@ def _cmd_region(args, summary_only: bool = False):
 
 
 def _cmd_lift(args) -> dict:
-    lam = _parse_lambda(args.lam)[1:]
+    lam = _bloch_scalings(args.lam)
     xm = lift_x_max(lam, args.n)
     lifted = lift_ntsp(lam, args.n, x=args.x)
     return {"lambda": list(lam), "n": args.n, "x_max": xm, "lambda_tilde": list(lifted)}
 
 
 def _cmd_reduce(args) -> dict:
-    lam = _parse_lambda(args.lam)[1:]
+    lam = _bloch_scalings(args.lam)
     rr = reduce_to_unital(NonUnitalFamilyMap(t=args.t, lam3=lam))
     return {
         "t": args.t,
@@ -211,6 +206,7 @@ def _cmd_witness(args) -> dict:
     }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tensorstable", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -282,6 +278,13 @@ def main(argv=None) -> int:
             _emit(_cmd_witness(args), args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError:
+        # Only the scans allocate by an input's size: --grid per axis, or --steps.
+        size = {"region": "grid", "verify": "grid", "witness": "steps"}.get(args.command)
+        if size is None:
+            raise
+        sys.stderr.write(f"error: --{size} {getattr(args, size)} is too fine: its points do not fit in memory\n")
         return 1
     except ConvergenceError as exc:
         sys.stderr.write(f"numeric error: {exc}\n")

@@ -9,6 +9,7 @@ product vectors by alternating eigenvector descent (see-saw).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,6 +23,7 @@ __all__ = [
     "OracleConfig",
     "SeeSawResult",
     "block_positivity_min",
+    "grid_steps",
     "hermitian_spectrum",
     "kron",
     "kron_all",
@@ -200,10 +202,12 @@ def psd_verdict(eigs: np.ndarray) -> str:
     """Three-way positivity verdict from an ascending eigenvalue list.
 
     Returns ``"psd"`` when the minimum eigenvalue is above ``-1e-9`` scaled
-    by the spectral radius, ``"not_psd"`` below ``-1e-6``, else ``"marginal"``
-    (callers should widen sampling).
+    by the spectral radius (at least 1), ``"not_psd"`` below ``-1e-6``, else
+    ``"marginal"`` (callers should widen sampling); so is any non-finite spectrum.
     """
     eigs = np.asarray(eigs, dtype=float)
+    if not np.isfinite(eigs).all():
+        return "marginal"
     lo = float(eigs[0])
     radius = float(max(abs(eigs[0]), abs(eigs[-1])))
     if lo >= -PSD_CONFIRM_TOL * max(1.0, radius):
@@ -211,6 +215,21 @@ def psd_verdict(eigs: np.ndarray) -> str:
     if lo < -PSD_REFUTE_TOL:
         return "not_psd"
     return "marginal"
+
+
+def grid_steps(steps) -> int:
+    """``steps`` as an ``int`` if it is an integer of at least 2, else ``ValueError``.
+
+    ``operator.index`` takes Python and numpy integers but no floats, whose
+    grids would overshoot their bounds.
+    """
+    try:
+        n = operator.index(steps)
+    except TypeError:
+        n = 0
+    if n < 2:
+        raise ValueError(f"a grid needs an integer of at least 2 steps, got {steps!r}")
+    return n
 
 
 def symmetric_linspace(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -221,8 +240,7 @@ def symmetric_linspace(lo: float, hi: float, steps: int) -> np.ndarray:
     mirror grid points; integer-times-step construction keeps mirror points
     bitwise negatives of each other.
     """
-    if steps < 2:
-        raise ValueError("a grid needs at least two steps")
+    steps = grid_steps(steps)
     mid = (lo + hi) / 2.0
     offsets = np.arange(steps) - (steps - 1) / 2.0
     return offsets * ((hi - lo) / (steps - 1)) + mid

@@ -21,7 +21,6 @@ import numpy as np
 
 from .linalg import (
     MATRIX_ATOL,
-    PSD_CONFIRM_TOL,
     SIGMA,
     HermitianOperator,
     OracleConfig,
@@ -200,7 +199,7 @@ def choi(maps) -> HermitianOperator:
     ``(Phi x Id)`` applied to the maximally entangled projector (4x4).  For
     ``k`` maps the result is the Kronecker product of the single-map Choi
     operators, so the factor ordering is ``A A' B B' ...`` with unprimed
-    factors carrying the map inputs.
+    factors carrying the map outputs.
     """
     if hasattr(maps, "matrix"):
         maps = [maps]
@@ -402,7 +401,7 @@ def classify(m) -> ClassificationReport:
             method = "nonunital-closed-form"
         else:
             value = block_positivity_min(omega, cut=(0,), cfg=OracleConfig(restarts=16)).value
-            positive = value >= -PSD_CONFIRM_TOL
+            positive = psd_verdict([value]) == "psd"
             margins["positivity"] = float(value)
             method = "numeric-block-positivity"
     eb = cp and ccp
@@ -457,6 +456,9 @@ def map_from_json(text: str):
     data = json.loads(text)
     if not isinstance(data, dict) or "lambda" not in data:
         raise ValueError('map JSON must be an object with a "lambda" entry')
+    unknown = sorted(set(data) - {"lambda", "t"})
+    if unknown:
+        raise ValueError(f'map JSON takes only "lambda" and "t", got {", ".join(map(repr, unknown))}')
     lam = _finite_floats(data["lambda"], "lambda")
     if len(lam) == 3:
         lam = [1.0, *lam]

@@ -61,6 +61,10 @@ class NonUnitalFamilyMap:
         """Slack of the strict positivity-cone condition ``1 - |t| - |l3|``."""
         return 1.0 - abs(self.t) - abs(self.lam3[2])
 
+    def is_interior(self) -> bool:
+        """Strictly inside the cone, where the reduction and the 2tsp criterion apply."""
+        return self.interior_gap() > BOUNDARY_TOL
+
 
 @dataclass(frozen=True)
 class ReductionResult:
@@ -91,7 +95,7 @@ def reduce_to_unital(m: NonUnitalFamilyMap) -> ReductionResult:
     """
     t = m.t
     l1, l2, l3 = m.lam3
-    if m.interior_gap() <= BOUNDARY_TOL:
+    if not m.is_interior():
         raise ValueError(
             "reduction needs 1 - |t| - |l3| > 0; use the boundary branch of "
             "classify_nonunital_positive"
@@ -128,8 +132,7 @@ def classify_nonunital_positive(m: NonUnitalFamilyMap) -> CriterionVerdict:
     Boundary (``1 - |t| - |l3| = 0`` within 1e-12): require
     ``l1^2, l2^2 <= 1 - |t|``.  Exterior: not positive.
     """
-    gap = m.interior_gap()
-    if gap > BOUNDARY_TOL:
+    if m.is_interior():
         rr = reduce_to_unital(m)
         t0, t1, t2, t3 = rr.tilde_lam
         slacks = {
@@ -138,6 +141,7 @@ def classify_nonunital_positive(m: NonUnitalFamilyMap) -> CriterionVerdict:
             "|~l3|<=~l0": t0 - abs(t3),
         }
         return _verdict(slacks)
+    gap = m.interior_gap()
     if gap >= -BOUNDARY_TOL:
         bound = 1.0 - abs(m.t)
         slacks = {
@@ -155,7 +159,7 @@ def is_2tsp_nonunital(m: NonUnitalFamilyMap) -> CriterionVerdict:
     ``l~0^2 - l~3^2 >= |l~1^2 - l~2^2|`` (the scaled hyperboloid pair).
     Raises ``ValueError`` outside the strict interior.
     """
-    if m.interior_gap() <= BOUNDARY_TOL:
+    if not m.is_interior():
         raise ValueError("the 2-tensor-stability criterion needs an interior map")
     rr = reduce_to_unital(m)
     t0, t1, t2, t3 = rr.tilde_lam

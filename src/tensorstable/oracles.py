@@ -26,12 +26,10 @@ import numpy as np
 from .criteria import CriterionVerdict, depolarizing_pair_positive, is_2tsp, is_3tsp
 from .linalg import (
     ANALYTIC_BAND,
-    BOUNDARY_TOL,
-    PSD_CONFIRM_TOL,
-    PSD_REFUTE_TOL,
     HermitianOperator,
     OracleConfig,
     block_positivity_min,
+    psd_verdict,
     symmetric_linspace,
 )
 from .maps import (
@@ -86,23 +84,15 @@ def min_output_eig(maps, cfg: OracleConfig | None = None) -> float:
 def _flag(analytic: bool, slack: float, value: float) -> str:
     """``agree``/``disagree``/``marginal`` for one point of a region scan.
 
-    The oracle bands are absolute, not scaled by the spectral radius as in
-    ``psd_verdict``: a see-saw value's operator spectrum is never computed.
-    On the default grids the evaluated operators have radius 1 (+9e-16) for
-    depolarizing, 2tsp and 3tsp, where both bands coincide, but up to 1.039,
-    1.300 and 1.050 for nonunital-positive, -ghz and -2tsp at t = 0.8.  There
-    the absolute band is narrower, so it can only turn a confirmation into
-    ``marginal``; no oracle value on those grids lies in [-1.3e-9, -1e-9).
+    The oracle value is read as a one-element spectrum by ``psd_verdict``.
+    Its radius is ``|value|``, so the confirm band ``-1e-9 * max(1, |value|)``
+    is the absolute ``-1e-9`` wherever ``|value| <= 1``; any value below -1
+    is refuted, and a non-finite one is ``marginal``.
     """
-    if not np.isfinite(value):
+    verdict = psd_verdict([value])
+    if verdict == "marginal":
         return "marginal"
-    if value >= -PSD_CONFIRM_TOL:
-        ok = analytic
-    elif value < -PSD_REFUTE_TOL:
-        ok = not analytic
-    else:
-        return "marginal"
-    if ok:
+    if (verdict == "psd") == analytic:
         return "agree"
     return "marginal" if abs(slack) <= ANALYTIC_BAND else "disagree"
 
@@ -163,7 +153,7 @@ def _nonunital_ghz_oracle(pt, cfg, t):
 
 def _nonunital_2tsp_analytic(pt, t):
     m = NonUnitalFamilyMap(t, pt)
-    if m.interior_gap() <= BOUNDARY_TOL:
+    if not m.is_interior():
         return CriterionVerdict(satisfied=False, worst_slack=float("nan"), binding_constraint="1-|t|-|l3|>0")
     return is_2tsp_nonunital(m)
 
@@ -176,7 +166,7 @@ def _cone_bounds(t):
 
 def _nonunital_2tsp_oracle(pt, cfg, t):
     m = NonUnitalFamilyMap(t, pt)
-    if m.interior_gap() <= BOUNDARY_TOL:
+    if not m.is_interior():
         return float("nan")  # criterion undefined on the cone's boundary; row is flagged marginal
     rr = reduce_to_unital(m)
     psi = np.zeros(4, dtype=np.complex128)
@@ -288,7 +278,7 @@ def region_scan(
     if steps is None:
         steps = crit.default_steps
     if np.isscalar(steps):
-        steps = (int(steps),) * len(crit.axes)
+        steps = (steps,) * len(crit.axes)
     if len(steps) != len(crit.axes):
         raise ValueError(f"{criterion} needs {len(crit.axes)} step counts")
     bounds = crit.bounds(**merged) if callable(crit.bounds) else crit.bounds

@@ -15,8 +15,8 @@ import numpy as np
 
 from .criteria import as_lambda_point, hyperboloid_point, hyperboloid_slacks, is_3tsp
 from .linalg import (
-    NEGATIVITY_TOL, SCREEN_TOL, STATE_PSD_TOL, STATE_TRACE_TOL, HermitianOperator, rotated_ghz3,
-    symmetric_linspace,
+    BLOCH_ROTATIONS, NEGATIVITY_TOL, SCREEN_TOL, SIGMA, STATE_PSD_TOL, STATE_TRACE_TOL, HermitianOperator,
+    grid_steps, rotated_ghz3, symmetric_linspace,
 )
 from .maps import _power_min_eigs
 
@@ -111,13 +111,11 @@ def build_state(kind: str, q: float, n: int = 3) -> MultiQubitState:
     return MultiQubitState(HermitianOperator(rho, (2,) * nq))
 
 
-# The rotations of linalg.BLOCH_ROTATIONS acting on the Bloch scalings (l1, l2, l3).
-_G = (
-    np.eye(3),
-    np.array([[-1.0, 0, 0], [0, 0, 1], [0, 1, 0]]),
-    np.array([[0, 0, 1.0], [0, -1.0, 0], [1.0, 0, 0]]),
-    np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, -1.0]]),
-)
+# The rotations of linalg.BLOCH_ROTATIONS acting on the Bloch scalings (l1, l2, l3),
+# G[u, a, b] = tr(sigma_a U_u sigma_b U_u^dag) / 2: signed permutations, rounded to
+# exact entries (+ 0.0 turns -0.0 into 0.0).
+_U = np.array(BLOCH_ROTATIONS)
+_G = np.round(np.einsum("aij,ujk,bkl,uil->uab", SIGMA[1:], _U, SIGMA[1:], _U.conj()).real / 2) + 0.0
 
 
 def variant_transforms() -> list[np.ndarray]:
@@ -217,8 +215,8 @@ def threshold_search(family: str, n: int, steps: int = 21) -> ThresholdResult:
 
     ``family`` is ``"ghz"`` or ``"w"`` (three-qubit state mixed with white
     noise at weight ``1 - q``); ``n`` in ``{1, 2}`` selects the certificate
-    the scanned maps must carry, and ``steps >= 2`` the resolution of their
-    parameter grid.  The maps are unital and trace preserving,
+    the scanned maps must carry, and ``steps``, an integer of at least 2, the
+    resolution of their parameter grid.  The maps are unital and trace preserving,
     so a map whose output on the pure state has smallest eigenvalue ``m``
     outputs ``q m + (1 - q) / 8`` on the noisy one, and detects it exactly
     for ``q > (1/8 + NEGATIVITY_TOL) / (1/8 - m)``.  That onset grows with
@@ -243,8 +241,7 @@ def threshold_search(family: str, n: int, steps: int = 21) -> ThresholdResult:
         raise ValueError(f"unknown state family {family!r}")
     if n not in (1, 2):
         raise ValueError(f"threshold search supports n in {{1, 2}}, got {n}")
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    steps = grid_steps(steps)
 
     lams = _scan_maps_n1(steps) if n == 1 else _scan_maps_n2(steps)
     lams = lams[_certified(lams, n)]

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tensorstable
 from tensorstable.cli import main
 from tensorstable.oracles import region_criteria
 
@@ -140,6 +145,19 @@ class TestClassify:
         assert code == 1 and out == ""
         assert "lambda" in err
 
+    def test_map_file_with_an_unknown_key(self, capsys, tmp_path):
+        # A misspelt "t" must not silently classify the untranslated map.
+        path = tmp_path / "map.json"
+        path.write_text('{"lambda": [0.1, 0.1, 0.1], "T": 0.5}')
+        code, out, err = run(capsys, "classify", "--map", str(path))
+        assert code == 1 and out == ""
+        assert "'T'" in err and err.count("\n") == 1
+
+    def test_l0_other_than_one_with_t_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "classify", "--lambda", "2,0.5,0.5,0.5", "--t", "0.2")
+        assert code == 2 and out == ""
+        assert "l0 = 1" in err
+
     def test_map_file_without_lambda(self, capsys, tmp_path):
         path = tmp_path / "map.json"
         path.write_text('{"t": [0.0, 0.0, 0.5]}')
@@ -157,11 +175,13 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--lambda", "1e300,1e300,1e300")
         assert code in (1, 2) and out == ""
 
-    @pytest.mark.parametrize("lam", ["1e300,1e300,1e300", "1e-310,1,1,1", "1e308,1e308,1e308"])
+    @pytest.mark.parametrize("lam", ["1e300,1e300,1e300", "1e-310,1,1,1", "1e308,1e308,1e308", "0,0,0 --t 1e308"])
     def test_overflow_is_a_domain_error_naming_the_input(self, capsys, recwarn, lam):
-        code, out, err = run(capsys, "classify", "--lambda", lam)
+        # t = 1e308 overflows t*t, so --t must be named with --lambda.
+        code, out, err = run(capsys, "classify", "--lambda", *lam.split())
+        named = "--lambda and --t" if "--t" in lam else "--lambda"
         assert code == 2 and out == ""
-        assert err.startswith("domain error: --lambda") and err.count("\n") == 1
+        assert err.startswith(f"domain error: {named} values") and err.count("\n") == 1
         # pytest captures warnings before they reach stderr; recwarn sees them.
         assert "Warning" not in err and not recwarn.list
 
@@ -286,6 +306,11 @@ class TestLift:
         assert code == 1 and out == ""
         assert "finite" in err
 
+    def test_l0_other_than_one_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "lift", "--lambda", "0.5,0.5,0.5,0.5", "--n", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("domain error: --lambda takes l0 = 1")
+
     def test_non_finite_mixing_parameter(self, capsys):
         code, out, _ = run(capsys, "lift", "--lambda", "1,0,1", "--n", "1", "--x", "inf")
         assert code == 1 and out == ""
@@ -301,6 +326,11 @@ class TestReduce:
     def test_exterior_is_domain_error(self, capsys):
         code, _, err = run(capsys, "reduce", "--lambda", "0,0,0.5", "--t", "0.9")
         assert code == 2
+
+    def test_l0_other_than_one_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "reduce", "--lambda", "2,0.3,0.2,0.1", "--t", "0.5")
+        assert code == 2 and out == ""
+        assert err.startswith("domain error: --lambda takes l0 = 1")
 
 
 class TestWitness:
@@ -322,6 +352,19 @@ class TestWitness:
         code, out, err = run(capsys, "witness", "--family", "ghz", "--n", "2", "--steps", steps)
         assert code == 1 and out == ""
         assert "--steps" in err
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_steps_too_large_for_memory_is_usage_error(self, n):
+        # 1e7 steps per axis: 1e14 scanned maps and more, which no host can allocate.
+        # A fresh interpreter: an uncaught error would print its traceback there, and
+        # the grid built before the failing allocation (up to 180 MB) stays out of
+        # this process's peak memory, which the peak-memory tests inherit.
+        argv = ["witness", "--family", "ghz", "--n", n, "--steps", "10000000"]
+        env = {**os.environ, "PYTHONPATH": str(Path(tensorstable.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "tensorstable.cli", *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "--steps 10000000" in proc.stderr and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 def _reject_constant(name):

@@ -84,3 +84,32 @@ def test_package_names_are_declared_by_their_module():
         if not name.startswith("_") and name not in declared_all(module_tree(source))
     ]
     assert undeclared == []
+
+
+def linalg_tolerances(tree):
+    """linalg's module-level float constants: its tolerances and bands."""
+    return {
+        node.targets[0].id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, float)
+        and node.targets[0].id.isupper()
+    }
+
+
+def test_each_tolerance_has_one_owner_and_the_psd_bands_only_psd_verdict():
+    """A tolerance read by two modules is a rule written out twice; the two
+    bands ``psd_verdict`` reads are read through it alone."""
+    tree = module_tree("linalg")
+    tolerances = linalg_tolerances(tree)
+    verdict = next(node for node in tree.body if getattr(node, "name", None) == "psd_verdict")
+    psd_bands = tolerances & {node.id for node in ast.walk(verdict) if isinstance(node, ast.Name)}
+    assert len(psd_bands) == 2
+    readers = {name: [] for name in tolerances}
+    for module in ["__init__", *ORDER[1:]]:
+        for name, source in sibling_imports(module_tree(module)).items():
+            if source == "linalg" and name in tolerances:
+                readers[name].append(module)
+    shared = {name: modules for name, modules in readers.items() if len(modules) > 1}
+    assert shared == {} and [readers[name] for name in sorted(psd_bands)] == [[], []]

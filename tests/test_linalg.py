@@ -119,3 +119,10 @@ class TestPsdVerdict:
 
     def test_scales_with_radius(self):
         assert psd_verdict(np.array([-5e-9, 100.0])) == "psd"
+
+    @pytest.mark.parametrize(
+        "eigs", [[-np.inf, 1.0], [-1.0, np.inf], [np.nan, 1.0], [0.0, np.nan], [np.inf], [-np.inf], [np.nan]]
+    )
+    def test_non_finite_spectra_are_marginal(self, eigs):
+        # An infinite radius would stretch the confirm band to -inf.
+        assert psd_verdict(np.array(eigs)) == "marginal"

@@ -622,6 +622,11 @@ class TestJson:
         with pytest.raises(ValueError):
             map_from_json(text)
 
+    @pytest.mark.parametrize("text", ['{"lambda": [0.1, 0.1, 0.1], "T": 0.5}', '{"lambda": [1, 0, 0, 0], "x": 1}'])
+    def test_rejects_unknown_keys(self, text):
+        with pytest.raises(ValueError, match='only "lambda" and "t"'):
+            map_from_json(text)
+
     def test_rejects_off_diagonal(self):
         e = np.eye(4)
         e[1, 2] = 0.5

@@ -16,6 +16,7 @@ from tensorstable.linalg import (
 from tensorstable.maps import GeneralQubitMap, PauliMap, choi, classify, tensor_apply
 from tensorstable.oracles import (
     REGION_SCAN_CONFIG,
+    _flag,
     decomposability_fixtures,
     ex2_family,
     min_output_eig,
@@ -48,6 +49,17 @@ class TestSymmetricLinspace:
     def test_bounds(self):
         g = symmetric_linspace(0, 1, 5)
         assert g[0] == 0.0 and g[-1] == 1.0
+
+    @pytest.mark.parametrize(
+        "steps", [2.5, 5.0, np.float64(5), "5", True, 1, None], ids=["2.5", "5.0", "float64", "str", "bool", "1", "None"]
+    )
+    def test_rejects_anything_but_an_integer_of_at_least_two(self, steps):
+        # 2.5 steps would give [-1, 0.333, 1.667], past the upper bound.
+        with pytest.raises(ValueError, match="integer of at least 2"):
+            symmetric_linspace(-1, 1, steps)
+
+    def test_numpy_integer_steps(self):
+        assert (symmetric_linspace(-1, 1, np.int64(5)) == symmetric_linspace(-1, 1, 5)).all()
 
 
 class TestBlockPositivity:
@@ -184,6 +196,15 @@ class TestRegionScan:
         with pytest.raises(ValueError, match="needs 3 step counts"):
             region_scan("2tsp", steps=(3, 3))
 
+    @pytest.mark.parametrize("steps", [(3, 3, 2.5), 2.5])
+    def test_non_integer_step_counts_are_rejected(self, steps):
+        # (3, 3, 2.5) would scan l3 = 1.667 outside the cube; 2.5 would truncate to 2.
+        with pytest.raises(ValueError, match="integer of at least 2"):
+            region_scan("2tsp" if isinstance(steps, tuple) else "3tsp", steps=steps)
+
+    def test_numpy_integer_step_counts(self):
+        assert region_scan("depolarizing", steps=np.int64(5)).to_csv() == region_scan("depolarizing", steps=5).to_csv()
+
     def test_3tsp_agrees_with_ghz_variant_reference(self):
         rep = region_scan("3tsp", steps=7)
         assert rep.summary["disagree"] == 0
@@ -249,6 +270,34 @@ class TestRegionScan:
         rep = region_scan("nonunital-positive", steps=5, params={"t": 0.4})
         assert rep.params["t"] == 0.4
         assert rep.summary["disagree"] == 0
+
+
+def _flag_absolute(analytic, slack, value):
+    """Reference: the region-scan flag with absolute bands -1e-9 and -1e-6."""
+    if not np.isfinite(value):
+        return "marginal"
+    if value >= -1e-9:
+        ok = analytic
+    elif value < -1e-6:
+        ok = not analytic
+    else:
+        return "marginal"
+    if ok:
+        return "agree"
+    return "marginal" if abs(slack) <= 1e-9 else "disagree"
+
+
+BAND_EDGE_VALUES = [
+    v for edge in (1e-9, -1e-9, 1e-6, -1e-6) for v in (np.nextafter(edge, -1.0), edge, np.nextafter(edge, 1.0))
+] + [-1.5, 0.0, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("value", BAND_EDGE_VALUES)
+def test_flag_through_psd_verdict_matches_the_absolute_bands(value):
+    """A one-element spectrum's scaled confirm band is the absolute one wherever |value| <= 1."""
+    for analytic in (np.True_, np.False_, True, False):
+        for slack in (0.0, 1e-9, -2e-9, 0.5, -0.5):
+            assert _flag(analytic, slack, value) == _flag_absolute(analytic, slack, value)
 
 
 class TestDecomposabilityFixtures:

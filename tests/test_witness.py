@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import tensorstable
+from tensorstable import witness
 from tensorstable.criteria import hyperboloid_point, is_2tsp, is_3tsp
 from tensorstable.linalg import BLOCH_ROTATIONS, HermitianOperator, kron, symmetric_linspace
 from tensorstable.maps import PauliMap, _power_min_eigs, tensor_apply
@@ -99,6 +100,16 @@ class TestGhzVariants:
     def test_transforms_are_signed_permutations(self):
         for t in variant_transforms():
             assert_allclose(np.abs(t) @ np.abs(t).T, np.eye(3), atol=1e-15)
+
+    def test_derived_axis_rotations_equal_the_literal_table(self):
+        # The table the rotations' action was once written out as; bytewise, so no -0.0 slips in.
+        literal = (
+            np.eye(3),
+            np.array([[-1.0, 0, 0], [0, 0, 1], [0, 1, 0]]),
+            np.array([[0, 0, 1.0], [0, -1.0, 0], [1.0, 0, 0]]),
+            np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, -1.0]]),
+        )
+        assert witness._G.tobytes() == np.array(literal).tobytes()
 
 
 class TestDepthWitness:
@@ -215,6 +226,16 @@ class TestThresholdSearch:
     def test_rejects_fewer_than_two_steps(self, steps):
         with pytest.raises(ValueError, match="steps"):
             threshold_search("ghz", 2, steps=steps)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejects_non_integer_steps(self, n):
+        # n = 1 at 2.5 steps used to scan past the cube and return q_star = 0.273.
+        with pytest.raises(ValueError, match="integer of at least 2"):
+            threshold_search("ghz", n, steps=2.5)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_numpy_integer_steps(self, n):
+        assert threshold_search("ghz", n, steps=np.int64(7)).q_star == threshold_search("ghz", n, steps=7).q_star
 
     def test_peak_memory_stays_bounded_at_fine_steps(self):
         # 157,464 scanned rows at steps 81; the import alone takes about 30 MB.
