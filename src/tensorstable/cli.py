@@ -65,14 +65,12 @@ def _json_default(obj):
     # np.float64 subclasses float and encodes as one; the other numpy scalars do not.
     if isinstance(obj, (np.bool_, np.integer)):
         return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     # Reports and criterion verdicts encode as their fields.
     if dataclasses.is_dataclass(obj):
         return dataclasses.asdict(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def _emit(payload, args) -> None:
-    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_json_default) + "\n", args)
 
 
 def _finite_float(text: str) -> float:
@@ -150,36 +148,41 @@ def _cmd_classify(args) -> dict:
                 payload["criteria"]["ghz_output"] = ghz_output_conditions(fam)
                 if fam.is_interior():
                     payload["criteria"]["2tsp"] = is_2tsp_nonunital(fam)
-            elif rep.positivity_method == "pauli-closed-form":
-                lam3 = np.diag(e)[1:] / e[0, 0] if e[0, 0] != 0 else np.diag(e)[1:]
+            elif rep.positivity_method == "pauli-closed-form" and e[0, 0] > 0:
+                # Only a positive scale keeps n-fold positivity; l0 <= 0 fits no closed form.
+                lam3 = np.diag(e)[1:] / e[0, 0]
                 payload["criteria"]["2tsp"] = is_2tsp(lam3)
                 payload["criteria"]["3tsp"] = is_3tsp(lam3)
                 payload["criteria"]["necessary"] = {str(n): ntsp_necessary(lam3, n) for n in (4, 5)}
-                payload["criteria"]["ball"] = {
-                    str(n): bool(ntsp_sufficient_ball(lam3, n)) for n in (2, 3, 4)
-                }
+                payload["criteria"]["ball"] = {str(n): ntsp_sufficient_ball(lam3, n) for n in (2, 3, 4)}
     except FloatingPointError as exc:
         source = "--map" if args.map else "--lambda" if args.t is None else "--lambda and --t"
         raise ValueError(f"{source} values overflow the closed-form criteria ({exc})") from None
     return payload
 
 
-def _cmd_region(args, summary_only: bool = False):
+def _scan(args):
     params = {"t": args.t} if args.t is not None else None
     if params and "t" not in region_params(args.criterion):
         raise _UsageError(f"--t does not apply to --criterion {args.criterion}")
-    rep = region_scan(args.criterion, steps=args.grid, params=params, seed=args.seed)
-    if summary_only:
-        return {"criterion": rep.criterion, "params": rep.params, "summary": rep.summary}
-    _write(rep.to_csv() if args.format == "csv" else rep.to_json() + "\n", args)
-    return None
+    return region_scan(args.criterion, steps=args.grid, params=params, seed=args.seed)
+
+
+def _cmd_region(args) -> str:
+    rep = _scan(args)
+    return rep.to_csv() if args.format == "csv" else rep.to_json() + "\n"
+
+
+def _cmd_verify(args) -> dict:
+    rep = _scan(args)
+    return {"criterion": rep.criterion, "params": rep.params, "summary": rep.summary}
 
 
 def _cmd_lift(args) -> dict:
     lam = _bloch_scalings(args.lam)
     xm = lift_x_max(lam, args.n)
     lifted = lift_ntsp(lam, args.n, x=args.x)
-    return {"lambda": list(lam), "n": args.n, "x_max": xm, "lambda_tilde": list(lifted)}
+    return {"lambda": lam, "n": args.n, "x_max": xm, "lambda_tilde": lifted}
 
 
 def _cmd_reduce(args) -> dict:
@@ -187,23 +190,17 @@ def _cmd_reduce(args) -> dict:
     rr = reduce_to_unital(NonUnitalFamilyMap(t=args.t, lam3=lam))
     return {
         "t": args.t,
-        "lambda": list(lam),
-        "tilde_lambda": list(rr.tilde_lam),
-        "tilde_ratio": list(rr.tilde_ratio),
-        "a_inv": rr.a_inv.tolist(),
-        "b_inv": rr.b_inv.tolist(),
+        "lambda": lam,
+        "tilde_lambda": rr.tilde_lam,
+        "tilde_ratio": rr.tilde_ratio,
+        "a_inv": rr.a_inv,
+        "b_inv": rr.b_inv,
     }
 
 
 def _cmd_witness(args) -> dict:
     res = threshold_search(args.family, args.n, steps=args.steps)
-    return {
-        "family": args.family,
-        "n": args.n,
-        "q_star": res.q_star,
-        "witness": None if res.witness is None else list(res.witness),
-        "neg_eig": res.neg_eig,
-    }
+    return {"family": args.family, "n": args.n, **dataclasses.asdict(res)}
 
 
 @functools.cache
@@ -211,48 +208,49 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tensorstable", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run, size=None):
         p.add_argument("--out", help="write the result to this path instead of stdout")
+        p.set_defaults(run=run, size=size)
 
-    def scan(p):
+    def scan(p, run):
         p.add_argument("--criterion", required=True, choices=region_criteria())
         p.add_argument("--grid", type=_int_at_least(2), default=None, help="steps per axis (at least 2)")
         p.add_argument("--t", type=_finite_float, default=None, help="family translation parameter")
         p.add_argument("--seed", type=_int_at_least(0), default=0, help="oracle seed (at least 0)")
-        common(p)
+        common(p, run, "grid")
 
     p = sub.add_parser("classify", help="classify a qubit map and run all criteria")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--lambda", dest="lam", help="l0,l1,l2,l3 or l1,l2,l3 (l0=1 assumed)")
     source.add_argument("--map", help="path to a map JSON file")
     p.add_argument("--t", type=_finite_float, help="translation along the third axis (with --lambda)")
-    common(p)
+    common(p, _cmd_classify)
 
     p = sub.add_parser("region", help="grid scan of a criterion against its oracle")
-    scan(p)
+    scan(p, _cmd_region)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     # Not an option: the benchmark harness (bench/run.py) records this value.
     p.set_defaults(threads=1)
 
     p = sub.add_parser("verify", help="like region, but print the agreement summary only")
-    scan(p)
+    scan(p, _cmd_verify)
 
     p = sub.add_parser("lift", help="shrink an n-stable map into an (n+1)-stable one")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=_finite_float, default=None, help="mixing parameter (default x_max)")
-    common(p)
+    common(p, _cmd_lift)
 
     p = sub.add_parser("reduce", help="reduce a translated family map to unital form")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--t", type=_finite_float, required=True)
-    common(p)
+    common(p, _cmd_reduce)
 
     p = sub.add_parser("witness", help="entanglement-depth detection threshold search")
     p.add_argument("--family", required=True, choices=("ghz", "w"))
     p.add_argument("--n", type=int, required=True, choices=(1, 2))
     p.add_argument("--steps", type=_int_at_least(2), default=21, help="witness-map grid resolution (at least 2)")
-    common(p)
+    common(p, _cmd_witness, "steps")
 
     return parser
 
@@ -264,27 +262,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "classify":
-            _emit(_cmd_classify(args), args)
-        elif args.command == "region":
-            _cmd_region(args)
-        elif args.command == "verify":
-            _emit(_cmd_region(args, summary_only=True), args)
-        elif args.command == "lift":
-            _emit(_cmd_lift(args), args)
-        elif args.command == "reduce":
-            _emit(_cmd_reduce(args), args)
-        elif args.command == "witness":
-            _emit(_cmd_witness(args), args)
+        out = args.run(args)
+        if not isinstance(out, str):
+            out = json.dumps(out, sort_keys=True, indent=2, allow_nan=False, default=_json_default) + "\n"
+        _write(out, args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except MemoryError:
         # Only the scans allocate by an input's size: --grid per axis, or --steps.
-        size = {"region": "grid", "verify": "grid", "witness": "steps"}.get(args.command)
-        if size is None:
+        if args.size is None:
             raise
-        sys.stderr.write(f"error: --{size} {getattr(args, size)} is too fine: its points do not fit in memory\n")
+        sys.stderr.write(f"error: --{args.size} {getattr(args, args.size)} is too fine: its points do not fit in memory\n")
         return 1
     except ConvergenceError as exc:
         sys.stderr.write(f"numeric error: {exc}\n")

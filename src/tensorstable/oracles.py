@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -160,7 +160,9 @@ def _nonunital_2tsp_analytic(pt, t):
 
 def _cone_bounds(t):
     """The Bloch cube cut to the cone ``|l3| <= 1 - |t|``, where the 2tsp criterion is defined."""
-    h = max(0.0, 1.0 - abs(t))
+    h = 1.0 - abs(t)
+    if h <= 0:
+        raise ValueError(f"nonunital-2tsp needs |t| < 1, got t = {t!r}")
     return ((-1.0, 1.0), (-1.0, 1.0), (-h, h))
 
 
@@ -223,7 +225,11 @@ class RegionScanReport:
     analytic_slack: np.ndarray  # worst slack behind each analytic verdict
     oracle: np.ndarray  # float
     flags: np.ndarray  # "agree" | "disagree" | "marginal"
-    summary: dict = field(default_factory=dict)
+
+    @property
+    def summary(self) -> dict:
+        """How many points carry each flag."""
+        return {f: int(np.sum(self.flags == f)) for f in ("agree", "disagree", "marginal")}
 
     def to_csv(self) -> str:
         header = ",".join([*self.axes, "analytic", "oracle", "flag"])
@@ -298,11 +304,6 @@ def region_scan(
         oracle[i] = crit.oracle(pt, dataclasses.replace(REGION_SCAN_CONFIG, seed=point_seed), **merged)
 
     flags = np.array([_flag(a, sl, o) for a, sl, o in zip(analytic, slack, oracle)])
-    summary = {
-        "agree": int(np.sum(flags == "agree")),
-        "disagree": int(np.sum(flags == "disagree")),
-        "marginal": int(np.sum(flags == "marginal")),
-    }
     return RegionScanReport(
         criterion=criterion,
         axes=crit.axes,
@@ -313,7 +314,6 @@ def region_scan(
         analytic_slack=slack,
         oracle=oracle,
         flags=flags,
-        summary=summary,
     )
 
 
@@ -388,7 +388,7 @@ def decomposability_fixtures(mu: float = 0.1) -> DecomposabilityReport:
         ex1_identity_residual=residual,
         ex2_choi_min_eig=float(ex2_min),
         ex2_mu=float(mu),
-        ex2_is_2tsp=is_2tsp(m.lam3).satisfied,
+        ex2_is_2tsp=bool(is_2tsp(m.lam3).satisfied),
         ex2_cp=rep.cp,
         ex2_ccp=rep.ccp,
     )

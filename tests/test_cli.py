@@ -90,6 +90,12 @@ class TestClassify:
             (["--lambda", "0.3,0.2,0.1", "--t", "0.5"], FAMILY_KEYS, True),  # interior
             (["--lambda", "0.2,0.3,0.5", "--t", "0.5"], FAMILY_KEYS - {"2tsp"}, True),  # boundary
             (["--lambda", "0.1,0.1,0.5", "--t", "0.8"], FAMILY_KEYS - {"2tsp"}, True),  # exterior
+            # The closed forms hold up to a positive scale only: Phi x Phi of 0,0.5,0.5,0.5
+            # is negative on the Bell state, and the threefold power of -1,0.5,0.5,0.5 on |000>.
+            (["--lambda=2,0.5,0.5,0.5"], PAULI_KEYS, False),
+            (["--lambda=0,0.5,0.5,0.5"], set(), False),
+            (["--lambda=-1,0.5,0.5,0.5"], set(), False),
+            (["--lambda=0,0,0,0"], set(), False),
         ],
     )
     def test_criteria_follow_the_map_family(self, capsys, argv, keys, has_t):
@@ -132,6 +138,11 @@ class TestClassify:
     def test_non_finite_translation(self, capsys):
         code, out, _ = run(capsys, "classify", "--lambda", "0,0,0", "--t", "nan")
         assert code == 1 and out == ""
+
+    def test_translation_that_is_not_a_number(self, capsys):
+        code, out, err = run(capsys, "classify", "--lambda", "0.1,0.1,0.1", "--t", "abc")
+        assert code == 1 and out == ""
+        assert "not a number: 'abc'" in err
 
     def test_missing_map_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "classify", "--map", str(tmp_path / "missing.json"))
@@ -249,6 +260,18 @@ class TestRegion:
         code, out, err = run(capsys, command, "--criterion", "2tsp", *[a for kv in options.items() for a in kv])
         assert code == 1 and out == ""
         assert f"error: argument {option}: " in err
+
+    @pytest.mark.parametrize("t", ["1", "-1.5"])
+    def test_nonunital_2tsp_outside_the_cone_is_a_domain_error(self, capsys, t):
+        code, out, err = run(capsys, "verify", "--criterion", "nonunital-2tsp", "--grid", "3", "--t", t)
+        assert code == 2 and out == ""
+        assert err.startswith("domain error: nonunital-2tsp needs |t| < 1") and err.count("\n") == 1
+
+    def test_see_saw_that_does_not_converge_is_a_numeric_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("tensorstable.linalg.MAX_ITERS", 1)
+        code, out, err = run(capsys, "verify", "--criterion", "2tsp", "--grid", "2")
+        assert code == 3 and out == ""
+        assert err == "numeric error: see-saw did not converge in 1 iterations\n"
 
     def test_grid_too_large_for_memory_is_usage_error(self, capsys):
         # 3 axes of 1e5 steps: 1e15 points, which no host can allocate.

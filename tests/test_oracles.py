@@ -266,6 +266,22 @@ class TestRegionScan:
         assert rep.summary["agree"] >= 0.75 * len(rep.points)
         assert rep.grids[2][-1] == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("t", [1.0, -1.5])
+    def test_nonunital_2tsp_needs_a_nonempty_cone(self, t):
+        # At |t| >= 1 the cone |l3| <= 1 - |t| is empty: no grid to scan.
+        with pytest.raises(ValueError, match=r"\|t\| < 1"):
+            region_scan("nonunital-2tsp", steps=3, params={"t": t})
+
+    @pytest.mark.parametrize("criterion", ["nonunital-positive", "nonunital-ghz"])
+    def test_other_family_scans_take_any_finite_t(self, criterion):
+        rep = region_scan(criterion, steps=2, params={"t": 1.5})
+        assert sum(rep.summary.values()) == 8
+
+    def test_summary_counts_the_flags(self):
+        rep = region_scan("2tsp", steps=3)
+        assert list(rep.summary) == ["agree", "disagree", "marginal"]
+        assert rep.summary == {f: list(rep.flags).count(f) for f in rep.summary}
+
     def test_nonunital_parameter_passthrough(self):
         rep = region_scan("nonunital-positive", steps=5, params={"t": 0.4})
         assert rep.params["t"] == 0.4
@@ -310,6 +326,7 @@ class TestDecomposabilityFixtures:
         rep = decomposability_fixtures(mu=0.1)
         assert rep.ex2_choi_min_eig >= -1e-10
         assert rep.ex2_is_2tsp and not rep.ex2_cp and not rep.ex2_ccp
+        assert type(rep.ex2_is_2tsp) is bool
 
     def test_mixing_window_boundary(self):
         # the convex family turns completely positive at mu = 3/13
