@@ -43,6 +43,6 @@ for trial in range(3):
         rho = a @ a.conj().T
         blocks.append(rho / np.trace(rho).real)
     prod = np.kron(np.kron(blocks[0], blocks[1]), blocks[2])
-    state = MultiQubitState(HermitianOperator(prod, (2, 2, 2)))
+    state = MultiQubitState(HermitianOperator(prod))
     v = depth_witness(state, rng.uniform(-1, 1, 3), n=1)
     print(f"  random product state {trial}: lower bound {v.lower_bound}")

@@ -9,6 +9,7 @@ resolution ``threshold_search(..., steps=)`` scans its maps at.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -165,7 +166,13 @@ def _scan(args):
     params = {"t": args.t} if args.t is not None else None
     if params and "t" not in region_params(args.criterion):
         raise _UsageError(f"--t does not apply to --criterion {args.criterion}")
-    return region_scan(args.criterion, steps=args.grid, params=params, seed=args.seed)
+    # A finite but huge --t can still overflow the family maps' arithmetic to inf/nan.
+    guard = np.errstate(over="raise", invalid="raise") if params else contextlib.nullcontext()
+    try:
+        with guard:
+            return region_scan(args.criterion, steps=args.grid, params=params, seed=args.seed)
+    except FloatingPointError as exc:
+        raise ValueError(f"--t {args.t!r} overflows the {args.criterion} scan ({exc})") from None
 
 
 def _cmd_region(args) -> str:

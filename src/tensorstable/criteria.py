@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import HermitianOperator
+from .linalg import HermitianOperator, integer_at_least
 
 __all__ = [
     "CriterionVerdict",
@@ -102,7 +102,7 @@ def squared_map_choi(lam: LambdaPoint) -> HermitianOperator:
             [a + b, 0, 0, 1 + c],
         ]
     ) / 4.0
-    return HermitianOperator(m, (2, 2))
+    return HermitianOperator(m)
 
 
 def squared_map_choi_eigs(lam: LambdaPoint) -> np.ndarray:
@@ -151,8 +151,7 @@ def ntsp_necessary(lam: LambdaPoint, n: int) -> CriterionVerdict:
     the right, so each inequality is evaluated once: for ``j < k`` and
     ``p <= n // 2``.  The dropped ones repeat these slacks bit for bit.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = integer_at_least(n, 1, "n must be a positive integer")
     pt = as_lambda_point(lam)
     slacks = {}
     for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
@@ -176,8 +175,7 @@ def ntsp_sufficient_ball(lam: LambdaPoint, n: int) -> bool:
     Membership certifies the necessary region of :func:`ntsp_necessary`
     for the same ``n`` (not n-fold stability itself).
     """
-    if n < 2:
-        raise ValueError(f"the power-sum ball needs n >= 2, got {n}")
+    n = integer_at_least(n, 2, "the power-sum ball needs n >= 2")
     p = as_lambda_point(lam)
     return bool(np.sum(np.abs(p) ** (n / (n - 1))) <= 1.0)
 
@@ -185,8 +183,7 @@ def ntsp_sufficient_ball(lam: LambdaPoint, n: int) -> bool:
 def lift_x_max(lam: LambdaPoint, n: int) -> float:
     """Largest admissible mixing parameter in :func:`lift_ntsp`.  Points outside
     the Bloch cube are not positive, so not n-stable for any ``n``: they raise."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = integer_at_least(n, 1, "n must be a positive integer")
     p = np.abs(as_lambda_point(lam))
     if p.max() > 1.0:
         raise ValueError(f"lift requires a positive map, max |lambda_i| <= 1, got {p.max()}")
@@ -222,6 +219,9 @@ def mu_bound(min_eig_phi: float, min_eig_eb: float, n: int) -> float:
     the largest ``mu`` in ``[0, 1]``; returns 1 when the map output is
     already positive (``min_eig_phi >= 0``).
     """
+    n = integer_at_least(n, 1, "n must be a positive integer")
+    if not np.isfinite([min_eig_phi, min_eig_eb]).all():
+        raise ValueError(f"eigenvalues must be finite, got {min_eig_phi!r} and {min_eig_eb!r}")
     if min_eig_eb < 0:
         raise ValueError("the entanglement-breaking eigenvalue floor must be >= 0")
     if min_eig_phi >= 0:

@@ -1,13 +1,14 @@
 """Dense linear algebra on small multi-qubit operators, the see-saw, every tolerance.
 
 Plain ``numpy`` arrays (complex128, at most 64x64, so dense LAPACK throughout)
-plus a thin :class:`HermitianOperator` wrapper with tensor-factor bookkeeping.
+plus a thin :class:`HermitianOperator` wrapper for an operator on qubits.
 :func:`block_positivity_min` minimizes an operator's quadratic form over
 product vectors by alternating eigenvector descent (see-saw).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -23,10 +24,9 @@ __all__ = [
     "OracleConfig",
     "SeeSawResult",
     "block_positivity_min",
-    "grid_steps",
     "hermitian_spectrum",
+    "integer_at_least",
     "kron",
-    "kron_all",
     "partial_transpose",
     "psd_verdict",
     "rotated_ghz3",
@@ -99,22 +99,16 @@ def _as_matrix(a) -> np.ndarray:
 
 
 class HermitianOperator:
-    """Hermitian matrix on a tensor product of power-of-two subsystems.
+    """Hermitian matrix on ``k`` qubits, of dimension ``2^k``.
 
-    Parameters
-    ----------
-    matrix:
-        Square array-like.  It is symmetrized to ``(m + m^dag)/2`` at
-        construction; a drift larger than ``1e-10`` or a non-finite entry
-        raises ``ValueError``.
-    dims:
-        Subsystem dimensions whose product equals the matrix dimension.
-        Defaults to qubit factors ``(2,)*k`` for dimension ``2^k``.
+    ``matrix`` is square array-like, symmetrized to ``(m + m^dag)/2`` at
+    construction; a drift larger than ``1e-10`` or a non-finite entry raises
+    ``ValueError``.
     """
 
-    __slots__ = ("matrix", "dims")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix, dims: Sequence[int] | None = None):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -127,12 +121,6 @@ class HermitianOperator:
         if drift > HERMITIZE_TOL:
             raise ValueError(f"matrix is not Hermitian (drift {drift:.3g})")
         self.matrix = (m + m.conj().T) / 2
-        if dims is None:
-            dims = (2,) * (d.bit_length() - 1)
-        dims = tuple(int(x) for x in dims)
-        if int(np.prod(dims)) != d:
-            raise ValueError(f"factor dims {dims} do not multiply to {d}")
-        self.dims = dims
 
     @property
     def dim(self) -> int:
@@ -140,7 +128,7 @@ class HermitianOperator:
 
     @property
     def nfactors(self) -> int:
-        return len(self.dims)
+        return self.dim.bit_length() - 1
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
@@ -152,41 +140,34 @@ class HermitianOperator:
         return float(self.spectrum()[0])
 
     def __repr__(self) -> str:
-        return f"HermitianOperator(dim={self.dim}, dims={self.dims})"
+        return f"HermitianOperator(dim={self.dim})"
 
 
 def kron(a, b) -> np.ndarray | HermitianOperator:
-    """Kronecker product; factor bookkeeping concatenates for wrapped operands."""
+    """Kronecker product; wrapped operands give a wrapped result."""
     if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
-        return HermitianOperator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
+        return HermitianOperator(np.kron(a.matrix, b.matrix))
     return np.kron(_as_matrix(a), _as_matrix(b))
-
-
-def kron_all(mats: Iterable) -> np.ndarray:
-    out = np.eye(1, dtype=np.complex128)
-    for m in mats:
-        out = np.kron(out, _as_matrix(m))
-    return out
 
 
 def rotated_ghz3() -> np.ndarray:
     """Rows ``(U_i U_j)^{(x)3} |GHZ>`` over the pairs ``(i, j)`` of ``BLOCH_ROTATIONS``."""
     ghz = np.zeros(8, dtype=np.complex128)
     ghz[0] = ghz[-1] = 2**-0.5
-    return np.array([kron_all([ui @ uj] * 3) @ ghz for ui in BLOCH_ROTATIONS for uj in BLOCH_ROTATIONS])
+    return np.array([functools.reduce(np.kron, [ui @ uj] * 3) @ ghz for ui in BLOCH_ROTATIONS for uj in BLOCH_ROTATIONS])
 
 
 def partial_transpose(y: HermitianOperator, subsystems: Iterable[int]) -> HermitianOperator:
-    """Transpose the listed tensor factors of ``y``."""
-    subs = sorted(set(int(k) for k in subsystems))
+    """Transpose the listed qubits of ``y``."""
+    subs = sorted({integer_at_least(k, 0, "subsystems must be non-negative integers") for k in subsystems})
     n = y.nfactors
-    if subs and (subs[0] < 0 or subs[-1] >= n):
+    if subs and subs[-1] >= n:
         raise ValueError(f"factor index out of range for {n} factors: {subs}")
     axes = list(range(2 * n))
     for k in subs:
         axes[k], axes[n + k] = axes[n + k], axes[k]
-    t = y.matrix.reshape(y.dims + y.dims).transpose(axes)
-    return HermitianOperator(t.reshape(y.dim, y.dim), y.dims)
+    t = y.matrix.reshape((2,) * (2 * n)).transpose(axes)
+    return HermitianOperator(t.reshape(y.dim, y.dim))
 
 
 def hermitian_spectrum(h) -> np.ndarray:
@@ -217,18 +198,20 @@ def psd_verdict(eigs: np.ndarray) -> str:
     return "marginal"
 
 
-def grid_steps(steps) -> int:
-    """``steps`` as an ``int`` if it is an integer of at least 2, else ``ValueError``.
+def integer_at_least(value, floor: int, rule: str) -> int:
+    """``value`` as an ``int`` if it is an integer of at least ``floor``, else
+    ``ValueError`` with the message ``f"{rule}, got {value!r}"``.
 
-    ``operator.index`` takes Python and numpy integers but no floats, whose
-    grids would overshoot their bounds.
+    ``operator.index`` takes Python and numpy integers but no floats, which
+    would be truncated (or, as step counts, overshoot their grids' bounds),
+    and no strings.
     """
     try:
-        n = operator.index(steps)
+        n = operator.index(value)
     except TypeError:
-        n = 0
-    if n < 2:
-        raise ValueError(f"a grid needs an integer of at least 2 steps, got {steps!r}")
+        n = floor - 1
+    if n < floor:
+        raise ValueError(f"{rule}, got {value!r}")
     return n
 
 
@@ -240,7 +223,7 @@ def symmetric_linspace(lo: float, hi: float, steps: int) -> np.ndarray:
     mirror grid points; integer-times-step construction keeps mirror points
     bitwise negatives of each other.
     """
-    steps = grid_steps(steps)
+    steps = integer_at_least(steps, 2, "a grid needs an integer of at least 2 steps")
     mid = (lo + hi) / 2.0
     offsets = np.arange(steps) - (steps - 1) / 2.0
     return offsets * ((hi - lo) / (steps - 1)) + mid
@@ -350,17 +333,15 @@ def block_positivity_min(
     :data:`MAX_ITERS` iterations.
     """
     cfg = cfg or OracleConfig()
-    cut = sorted(set(int(k) for k in cut))
+    cut = sorted({integer_at_least(k, 0, "cut indices must be non-negative integers") for k in cut})
     n = omega.nfactors
-    if not cut or cut[-1] >= n or cut[0] < 0 or len(cut) == n:
+    if not cut or cut[-1] >= n or len(cut) == n:
         raise ValueError(f"cut must be a proper nonempty subset of range({n})")
     rest = [k for k in range(n) if k not in cut]
-    dims = omega.dims
-    da = int(np.prod([dims[k] for k in cut]))
-    db = int(np.prod([dims[k] for k in rest]))
+    da, db = 2 ** len(cut), 2 ** len(rest)
     perm = cut + rest
     axes = perm + [n + k for k in perm]
-    w4 = omega.matrix.reshape(dims + dims).transpose(axes).reshape(da, db, da, db)
+    w4 = omega.matrix.reshape((2,) * (2 * n)).transpose(axes).reshape(da, db, da, db)
     w_b = np.ascontiguousarray(w4.transpose(1, 3, 0, 2).reshape(db * db, da * da))
     w_a = np.ascontiguousarray(w_b.T)
 
@@ -375,15 +356,14 @@ def block_positivity_min(
     samples = _random_unit(rng, cfg.sample_count, db)
     scores, _ = _half_step(w_b, samples)
     inits = [samples[np.argsort(scores)[:n_rand]], vecs.T[:n_eig]]
-    # When either side is a pair of equal factors, seed with the maximally
-    # entangled pairing (for Choi operators of doubled maps the violating
-    # product vector sits exactly there).
-    dims_a, dims_b = [dims[k] for k in cut], [dims[k] for k in rest]
-    if len(dims_b) == 2 and dims_b[0] == dims_b[1]:
-        inits.append(np.eye(dims_b[0]).reshape(1, -1) / np.sqrt(dims_b[0]))
-    if len(dims_a) == 2 and dims_a[0] == dims_a[1]:
-        phi = np.eye(dims_a[0]).reshape(1, -1) / np.sqrt(dims_a[0])
+    # When either side is a pair of qubits, seed with the maximally entangled
+    # pairing (for Choi operators of doubled maps the violating product vector
+    # sits exactly there).
+    if len(rest) == 2:
+        inits.append(np.eye(2).reshape(1, -1) / np.sqrt(2))
+    if len(cut) == 2:
+        phi = np.eye(2).reshape(1, -1) / np.sqrt(2)
         inits.append(_half_step(w_a, phi)[1])
-    if dims_b == [2, 2, 2]:
+    if len(rest) == 3:
         inits.append(_GHZ3_STARTS)
     return _see_saw(w_b, w_a, np.concatenate(inits))

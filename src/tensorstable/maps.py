@@ -183,12 +183,12 @@ def compose(f, g):
 
 
 def max_entangled_projector(d: int = 2) -> HermitianOperator:
-    """Projector onto ``(1/sqrt(d)) sum_i |ii>``, factor dims ``(d, d)``."""
+    """Projector onto ``(1/sqrt(d)) sum_i |ii>``, for ``d`` a power of two."""
     psi = np.zeros(d * d, dtype=np.complex128)
     for i in range(d):
         psi[i * d + i] = 1.0
     psi /= np.sqrt(d)
-    return HermitianOperator(np.outer(psi, psi.conj()), (d, d))
+    return HermitianOperator(np.outer(psi, psi.conj()))
 
 
 def choi(maps) -> HermitianOperator:
@@ -206,7 +206,7 @@ def choi(maps) -> HermitianOperator:
     if not maps:
         raise ValueError("choi requires at least one map")
     # (Phi x Id)[psi+ proj] = (1/2) sum_ab Phi[E_ab] (x) E_ab
-    singles = [HermitianOperator(0.5 * _realign(_FROM_PAULI @ m.matrix @ _TO_PAULI), (2, 2)) for m in maps]
+    singles = [HermitianOperator(0.5 * _realign(_FROM_PAULI @ m.matrix @ _TO_PAULI)) for m in maps]
     out = singles[0]
     for s in singles[1:]:
         out = kron(out, s)
@@ -286,12 +286,9 @@ def tensor_apply(maps, x: HermitianOperator) -> HermitianOperator:
     """Apply one qubit map per tensor factor of ``x``, in the Pauli basis (:func:`_pauli_product`)."""
     if not isinstance(x, HermitianOperator):
         raise ValueError("tensor_apply expects a HermitianOperator input")
-    if len(maps) != x.nfactors or any(d != 2 for d in x.dims):
-        raise ValueError(
-            f"need one qubit factor per map: {len(maps)} maps, dims {x.dims}"
-        )
-    out = _pauli_product(np.stack([m.matrix for m in maps]), x.matrix)
-    return HermitianOperator(out, x.dims)
+    if len(maps) != x.nfactors:
+        raise ValueError(f"need one qubit factor per map: {len(maps)} maps, {x.nfactors} qubits")
+    return HermitianOperator(_pauli_product(np.stack([m.matrix for m in maps]), x.matrix))
 
 
 class PauliDiagonalMap:
@@ -333,10 +330,9 @@ class PauliDiagonalMap:
     def choi(self) -> HermitianOperator:
         """Choi operator, a ``4^n``-dimensional Hermitian matrix: the table, with
         ones on the reference qubits, applied to the maximally entangled projector."""
-        d = 2**self.nqubits
         table = np.multiply.outer(self.coeffs, np.ones(self.coeffs.shape))
-        omega = _pauli_product(table, max_entangled_projector(d).matrix, diagonal=True)
-        return HermitianOperator(omega, (d, d))
+        omega = _pauli_product(table, max_entangled_projector(2**self.nqubits).matrix, diagonal=True)
+        return HermitianOperator(omega)
 
 
 @dataclass(frozen=True)

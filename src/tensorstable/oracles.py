@@ -29,6 +29,7 @@ from .linalg import (
     HermitianOperator,
     OracleConfig,
     block_positivity_min,
+    integer_at_least,
     psd_verdict,
     symmetric_linspace,
 )
@@ -175,7 +176,7 @@ def _nonunital_2tsp_oracle(pt, cfg, t):
     psi[0] = psi[3] = 2**-0.5
     w = np.kron(rr.a_inv, rr.a_inv) @ psi
     w /= np.linalg.norm(w)
-    rho = HermitianOperator(np.outer(w, w.conj()), (2, 2))
+    rho = HermitianOperator(np.outer(w, w.conj()))
     return tensor_apply([m, m], rho).min_eig()
 
 
@@ -276,6 +277,7 @@ def region_scan(
             f"unknown criterion {criterion!r}; known: {', '.join(region_criteria())}"
         )
     crit = _REGION_CRITERIA[criterion]
+    seed = integer_at_least(seed, 0, "seed must be a non-negative integer")
     merged = region_params(criterion)
     unread = sorted(set(params or {}) - set(merged))
     if unread:

@@ -16,7 +16,7 @@ import numpy as np
 from .criteria import as_lambda_point, hyperboloid_point, hyperboloid_slacks, is_3tsp
 from .linalg import (
     BLOCH_ROTATIONS, NEGATIVITY_TOL, SCREEN_TOL, SIGMA, STATE_PSD_TOL, STATE_TRACE_TOL, HermitianOperator,
-    grid_steps, rotated_ghz3, symmetric_linspace,
+    integer_at_least, rotated_ghz3, symmetric_linspace,
 )
 from .maps import _power_min_eigs
 
@@ -44,8 +44,6 @@ class MultiQubitState:
     rho: HermitianOperator
 
     def __post_init__(self):
-        if any(d != 2 for d in self.rho.dims):
-            raise ValueError("state factors must all be qubits")
         if self.rho.nfactors > MAX_QUBITS:
             raise ValueError(f"at most {MAX_QUBITS} qubits are supported")
         if abs(self.rho.trace() - 1.0) > STATE_TRACE_TOL:
@@ -108,7 +106,7 @@ def build_state(kind: str, q: float, n: int = 3) -> MultiQubitState:
         raise ValueError(f"unknown state kind {kind!r}")
     d = 2**nq
     rho = q * np.outer(psi, psi.conj()) + (1.0 - q) * np.eye(d) / d
-    return MultiQubitState(HermitianOperator(rho, (2,) * nq))
+    return MultiQubitState(HermitianOperator(rho))
 
 
 # The rotations of linalg.BLOCH_ROTATIONS acting on the Bloch scalings (l1, l2, l3),
@@ -130,7 +128,7 @@ def variant_transforms() -> list[np.ndarray]:
 
 def ghz_variants() -> list[MultiQubitState]:
     """The 16 rotated three-qubit GHZ projectors ``(U_i U_j) |GHZ><GHZ| (U_i U_j)^dag``."""
-    return [MultiQubitState(HermitianOperator(np.outer(v, v.conj()), (2,) * 3)) for v in rotated_ghz3()]
+    return [MultiQubitState(HermitianOperator(np.outer(v, v.conj()))) for v in rotated_ghz3()]
 
 
 def _certified(lams: np.ndarray, n: int) -> np.ndarray:
@@ -150,6 +148,7 @@ def depth_witness(state: MultiQubitState, lam, n: int) -> DepthVerdict:
     least ``n + 1``; otherwise the verdict is inconclusive (bound 1).
     The map must pass the strongest closed-form certificate for ``n``.
     """
+    n = integer_at_least(n, 1, "n must be a positive integer")
     lam = as_lambda_point(lam)
     if not _certified(lam[None], n)[0]:
         raise ValueError("witness map not certified n-TSP")
@@ -241,7 +240,7 @@ def threshold_search(family: str, n: int, steps: int = 21) -> ThresholdResult:
         raise ValueError(f"unknown state family {family!r}")
     if n not in (1, 2):
         raise ValueError(f"threshold search supports n in {{1, 2}}, got {n}")
-    steps = grid_steps(steps)
+    steps = integer_at_least(steps, 2, "a grid needs an integer of at least 2 steps")
 
     lams = _scan_maps_n1(steps) if n == 1 else _scan_maps_n2(steps)
     lams = lams[_certified(lams, n)]

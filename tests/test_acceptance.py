@@ -184,7 +184,7 @@ def test_6_nonunital_reduction():
         psi[0] = psi[3] = 2**-0.5
         w = np.kron(rr.a_inv, rr.a_inv) @ psi
         w /= np.linalg.norm(w)
-        rho = HermitianOperator(np.outer(w, w.conj()), (2, 2))
+        rho = HermitianOperator(np.outer(w, w.conj()))
         eig = tensor_apply([gen, gen], rho).min_eig()
         if abs(eig) > 1e-10:
             assert is_2tsp_nonunital(m).satisfied == (eig >= 0)
@@ -266,7 +266,7 @@ def test_9_property_suites():
     for k in range(2000):
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi /= np.linalg.norm(psi)
-        rho = HermitianOperator(np.outer(psi, psi.conj()), (2, 2))
+        rho = HermitianOperator(np.outer(psi, psi.conj()))
         out = tensor_apply([eb[k % 40], pos[(k * 7) % 40]], rho)
         assert out.min_eig() >= -1e-9
 

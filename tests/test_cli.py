@@ -267,6 +267,19 @@ class TestRegion:
         assert code == 2 and out == ""
         assert err.startswith("domain error: nonunital-2tsp needs |t| < 1") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["region", "verify"])
+    @pytest.mark.parametrize("t", ["1.4e154", "1e200"])
+    def test_t_that_overflows_the_scan_is_a_domain_error_naming_t(self, capsys, recwarn, command, t):
+        code, out, err = run(capsys, command, "--criterion", "nonunital-ghz", "--grid", "2", "--t", t)
+        assert code == 2 and out == ""
+        assert err.startswith(f"domain error: --t {float(t)!r} overflows") and err.count("\n") == 1
+        assert not recwarn.list
+
+    def test_huge_t_that_does_not_overflow_still_scans(self, capsys):
+        code, out, _ = run(capsys, "verify", "--criterion", "nonunital-positive", "--grid", "2", "--t", "1e200")
+        assert code == 0
+        assert json.loads(out)["summary"] == {"agree": 8, "disagree": 0, "marginal": 0}
+
     def test_see_saw_that_does_not_converge_is_a_numeric_error(self, capsys, monkeypatch):
         monkeypatch.setattr("tensorstable.linalg.MAX_ITERS", 1)
         code, out, err = run(capsys, "verify", "--criterion", "2tsp", "--grid", "2")

@@ -307,3 +307,32 @@ class TestHyperboloidPoint:
             assert tight.sum() == 1
             assert tight[1]
             assert (slacks[~tight] > 1e-12).all()
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: mu_bound(-0.5, 0.1, -1), "n must be a positive integer, got -1"),
+        (lambda: mu_bound(np.nan, 0.1, 2), "eigenvalues must be finite"),
+        (lambda: mu_bound(-0.5, np.inf, 2), "eigenvalues must be finite"),
+        (lambda: ntsp_necessary((0.5, 0.5, 0.5), 2.5), "n must be a positive integer, got 2.5"),
+        (lambda: ntsp_sufficient_ball((0.2, 0.2, 0.2), 2.5), "the power-sum ball needs n >= 2, got 2.5"),
+        (lambda: lift_x_max((1, 0, 1), 1.5), "n must be a positive integer, got 1.5"),
+        (lambda: lift_ntsp((1, 0, 1), 1.5), "n must be a positive integer, got 1.5"),
+        (lambda: as_lambda_point((0.5, 0.5)), "a lambda point has exactly three components"),
+        (lambda: lift_x_max((1, 0, 1), 0), "n must be a positive integer, got 0"),
+    ],
+    ids=[
+        "mu_bound-n", "mu_bound-nan", "mu_bound-inf", "necessary-n", "ball-n", "lift_x_max-n", "lift_ntsp-n",
+        "lambda-shape", "lift_x_max-n-below-1",
+    ],
+)
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_numpy_integers_are_integers():
+    p = (0.5, -0.4, 0.3)
+    assert ntsp_necessary(p, np.int64(4)) == ntsp_necessary(p, 4)
+    assert lift_x_max((1, 0, 1), np.int32(2)) == lift_x_max((1, 0, 1), 2)

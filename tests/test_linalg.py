@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from tensorstable.linalg import (
     SIGMA,
     HermitianOperator,
+    block_positivity_min,
     hermitian_spectrum,
     kron,
     partial_transpose,
@@ -22,7 +23,7 @@ def rand_hermitian(dim, rng=RNG):
 def psi_plus_projector():
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 2**-0.5
-    return HermitianOperator(np.outer(psi, psi.conj()), (2, 2))
+    return HermitianOperator(np.outer(psi, psi.conj()))
 
 
 class TestKron:
@@ -49,8 +50,8 @@ class TestKron:
 
     def test_factor_bookkeeping(self):
         a = HermitianOperator(rand_hermitian(2))
-        b = HermitianOperator(rand_hermitian(4), (2, 2))
-        assert kron(a, b).dims == (2, 2, 2)
+        b = HermitianOperator(rand_hermitian(4))
+        assert kron(a, b).nfactors == 3
 
 
 class TestHermitianOperator:
@@ -74,10 +75,6 @@ class TestHermitianOperator:
         h = HermitianOperator(m)
         assert np.abs(h.matrix - h.matrix.conj().T).max() == 0
 
-    def test_rejects_bad_dims(self):
-        with pytest.raises(ValueError, match="dims"):
-            HermitianOperator(np.eye(4), (2, 3))
-
 
 class TestPartialTranspose:
     def test_max_entangled(self):
@@ -85,7 +82,7 @@ class TestPartialTranspose:
         assert_allclose(pt.spectrum(), [-0.5, 0.5, 0.5, 0.5], atol=1e-13)
 
     def test_involution(self):
-        h = HermitianOperator(rand_hermitian(8), (2, 2, 2))
+        h = HermitianOperator(rand_hermitian(8))
         back = partial_transpose(partial_transpose(h, [1]), [1])
         assert_allclose(back.matrix, h.matrix, atol=1e-14)
 
@@ -126,3 +123,24 @@ class TestPsdVerdict:
     def test_non_finite_spectra_are_marginal(self, eigs):
         # An infinite radius would stretch the confirm band to -inf.
         assert psd_verdict(np.array(eigs)) == "marginal"
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: block_positivity_min(HermitianOperator(np.eye(8) / 8), cut=(0.9, 2.7)),
+         "cut indices must be non-negative integers, got 0.9"),
+        (lambda: partial_transpose(psi_plus_projector(), [1.7]), "subsystems must be non-negative integers, got 1.7"),
+        (lambda: partial_transpose(psi_plus_projector(), ["1"]), "subsystems must be non-negative integers, got '1'"),
+        (lambda: partial_transpose(psi_plus_projector(), [2]), r"factor index out of range for 2 factors: \[2\]"),
+    ],
+    ids=["cut-float", "subsystems-float", "subsystems-str", "subsystems-out-of-range"],
+)
+def test_qubit_index_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_numpy_integer_indices_are_accepted():
+    pt = partial_transpose(psi_plus_projector(), [np.int64(1)])
+    assert pt.matrix.tobytes() == partial_transpose(psi_plus_projector(), [1]).matrix.tobytes()

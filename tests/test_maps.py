@@ -12,7 +12,6 @@ from tensorstable.linalg import (
     HermitianOperator,
     hermitian_spectrum,
     kron,
-    kron_all,
     partial_transpose,
     psd_verdict,
     symmetric_linspace,
@@ -42,7 +41,7 @@ def rand_state(n_qubits, rng=RNG):
     d = 2**n_qubits
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     psi /= np.linalg.norm(psi)
-    return HermitianOperator(np.outer(psi, psi.conj()), (2,) * n_qubits)
+    return HermitianOperator(np.outer(psi, psi.conj()))
 
 
 def hermitian_basis_2x2():
@@ -141,7 +140,7 @@ class TestChoi:
     def test_pair_ordering(self):
         # Factors of a two-map Choi are (in, aux, in, aux).
         om = choi([PauliMap.identity(), PauliMap.identity()])
-        assert om.dims == (2, 2, 2, 2)
+        assert om.nfactors == 4
         single = choi(PauliMap.identity()).matrix
         assert_allclose(om.matrix, np.kron(single, single), atol=1e-14)
 
@@ -160,7 +159,7 @@ class TestMapFromChoi:
         assert_allclose(g.matrix, np.eye(4), atol=1e-13)
 
     def test_maximally_mixed_gives_full_depolarizer(self):
-        g = map_from_choi(HermitianOperator(np.eye(4) / 4, (2, 2)))
+        g = map_from_choi(HermitianOperator(np.eye(4) / 4))
         assert_allclose(g.matrix, np.diag([1.0, 0, 0, 0]), atol=1e-13)
 
     def test_doubled_map_choi(self):
@@ -284,7 +283,7 @@ class TestTensorApply:
             p = RNG.uniform(0, 1)
             psi = np.zeros(4, dtype=complex)
             psi[0], psi[3] = np.sqrt(p), np.sqrt(1 - p)
-            rho = HermitianOperator(np.outer(psi, psi.conj()), (2, 2))
+            rho = HermitianOperator(np.outer(psi, psi.conj()))
             out = tensor_apply([PauliMap.depolarizing(q1), PauliMap.depolarizing(q2)], rho)
             a_p, a_m = 1 + q1 * q2, 1 - q1 * q2
             b_p, b_m = (2 * p - 1) * (q1 + q2), (2 * p - 1) * (q1 - q2)
@@ -355,7 +354,7 @@ def pauli_superop(e, n):
 
 def kron_superop(matrices):
     """Superoperator of a product map, whose Pauli-basis matrix is ``kron(E_1, ..., E_n)``."""
-    return pauli_superop(kron_all(matrices), len(matrices))
+    return pauli_superop(functools.reduce(np.kron, matrices), len(matrices))
 
 
 def random_general_maps(n, rng=RNG):
@@ -369,7 +368,7 @@ def reference_choi(maps):
     out = None
     for m in maps:
         s = pauli_superop(m.matrix, 1).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-        single = HermitianOperator(0.5 * s, (2, 2))
+        single = HermitianOperator(0.5 * s)
         out = single if out is None else kron(out, single)
     return out
 
@@ -507,7 +506,7 @@ class TestPowerMinEigs:
         lams = RNG.uniform(-1, 1, (4, 4))
         d = 2**n
         a = RNG.standard_normal((d, d)) + 1j * RNG.standard_normal((d, d))
-        rho = HermitianOperator(a @ a.conj().T / np.trace(a @ a.conj().T).real, (2,) * n)
+        rho = HermitianOperator(a @ a.conj().T / np.trace(a @ a.conj().T).real)
         got = _power_min_eigs(lams, rho.matrix)
         expected = [tensor_apply([PauliMap(tuple(lam))] * n, rho).min_eig() for lam in lams]
         assert got.shape == (4,)
@@ -541,7 +540,7 @@ class TestPauliDiagonalMap:
         d = 2**coeffs.ndim
         units = np.eye(d * d).reshape(d * d, d, d)  # column (a, b) is Phi[E_ab]
         s = _pauli_product(coeffs, units, diagonal=True).reshape(d * d, d * d).T
-        return HermitianOperator(s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d) / d, (d, d))
+        return HermitianOperator(s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d) / d)
 
     @pytest.mark.parametrize("coeffs", [_EX1_COEFFS, _EX2_COEFFS], ids=["example1", "example2"])
     def test_example_chois_match_the_superoperator_route(self, coeffs):
@@ -553,7 +552,7 @@ class TestPauliDiagonalMap:
         for _ in range(10):
             coeffs = rng.uniform(-1, 1, (4,) * n)
             omega = PauliDiagonalMap(coeffs).choi()
-            assert omega.dims == (2**n, 2**n)
+            assert omega.nfactors == 2 * n
             assert np.abs(omega.matrix - self.superop_route_choi(coeffs).matrix).max() <= 1e-15
 
     def test_choi_eigenvalues_are_weights(self):
@@ -664,3 +663,27 @@ def test_non_finite_input_is_rejected_where_it_enters(build, bad):
 def test_zero_qubit_coefficients_are_rejected():
     with pytest.raises(ValueError, match="shape"):
         PauliDiagonalMap(2.0)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: PauliMap((1.0, 0.5, 0.5)), "PauliMap takes four lambda values"),
+        (lambda: GeneralQubitMap(np.eye(3)), r"expected a 4x4 real matrix, got shape \(3, 3\)"),
+        (lambda: GeneralQubitMap.from_translation((0.0, 0.1), (0.5, 0.5, 0.5)), "t and lam3 must each have three"),
+        (lambda: choi([]), "choi requires at least one map"),
+        (lambda: map_from_choi(np.eye(8) / 8), "expected a 4x4 Choi operator"),
+        (lambda: tensor_apply([PauliMap.identity()], np.eye(2) / 2), "tensor_apply expects a HermitianOperator"),
+        (lambda: PauliDiagonalMap(np.ones((4, 4))).apply(np.eye(2)), "expected a 4x4 matrix"),
+        (lambda: map_from_json('{"lambda": [1.0, 0.5]}'), "lambda must have three or four components"),
+        (lambda: map_from_json('{"lambda": [0.5, 0.5, 0.5], "t": [0.0, 0.1]}'), "t must have three components"),
+        (lambda: map_from_json('{"lambda": [0.9, 0.5, 0.5, 0.5], "t": 0.1}'), "translated maps must have l0 = 1"),
+    ],
+    ids=[
+        "pauli-map-length", "general-map-shape", "translation-lengths", "choi-empty", "map-from-choi-shape",
+        "tensor-apply-input", "diagonal-apply-shape", "json-lambda-length", "json-t-length", "json-l0-with-t",
+    ],
+)
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -31,7 +31,7 @@ def transformed_entangled_input(rr):
     psi[0] = psi[3] = 2**-0.5
     w = np.kron(rr.a_inv, rr.a_inv) @ psi
     w /= np.linalg.norm(w)
-    return HermitianOperator(np.outer(w, w.conj()), (2, 2))
+    return HermitianOperator(np.outer(w, w.conj()))
 
 
 class TestFamilyMap:
@@ -240,3 +240,8 @@ def v_slack(m, name):
         "outer-": (1.0 + tt + c) - root,
         "outer+": (1.0 + tt + c) + root,
     }[name]
+
+
+def test_rejects_lam3_of_the_wrong_length():
+    with pytest.raises(ValueError, match="lam3 must have three components"):
+        NonUnitalFamilyMap(0.1, (0.5, 0.5))

@@ -334,3 +334,17 @@ class TestDecomposabilityFixtures:
         above = classify(ex2_family(3 / 13 + 0.01))
         assert not below.cp and above.cp
         assert not below.ccp and not above.ccp
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"criterion": "nope"}, "unknown criterion 'nope'"),
+        ({"criterion": "3tsp", "steps": 2, "seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"criterion": "3tsp", "steps": 2, "seed": -1}, "seed must be a non-negative integer, got -1"),
+    ],
+    ids=["unknown-criterion", "seed-float", "seed-negative"],
+)
+def test_region_scan_input_checks(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        region_scan(**kwargs)

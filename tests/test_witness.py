@@ -38,7 +38,7 @@ def random_density(n_qubits, rng=RNG):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
-    return HermitianOperator(rho, (2,) * n_qubits)
+    return HermitianOperator(rho)
 
 
 class TestBuildState:
@@ -74,7 +74,7 @@ class TestBuildState:
         bad = np.eye(4) / 4
         bad[0, 0] = 0.5  # trace 1.25
         with pytest.raises(ValueError, match="trace"):
-            MultiQubitState(HermitianOperator(bad, (2, 2)))
+            MultiQubitState(HermitianOperator(bad))
 
 
 class TestGhzVariants:
@@ -152,11 +152,11 @@ class TestDepthWitness:
         lam2 = hyperboloid_point(0.3, 0.7) * (1 - 1e-9)
         for _ in range(50):
             rho = kron(random_density(1), random_density(2))
-            state = MultiQubitState(HermitianOperator(rho.matrix, (2, 2, 2)))
+            state = MultiQubitState(HermitianOperator(rho.matrix))
             assert depth_witness(state, lam2, n=2).lower_bound == 1
         for _ in range(50):
             rho = kron(kron(random_density(1), random_density(1)), random_density(1))
-            state = MultiQubitState(HermitianOperator(rho.matrix, (2, 2, 2)))
+            state = MultiQubitState(HermitianOperator(rho.matrix))
             lam1 = RNG.uniform(-1, 1, 3)
             assert depth_witness(state, lam1, n=1).lower_bound == 1
 
@@ -391,3 +391,19 @@ class TestScanArrays:
         assert _certified(stack, 2).tolist() == [bool(is_2tsp(p).satisfied) for p in stack]
         assert _certified(stack, 3).tolist() == [bool(is_3tsp(p).satisfied) for p in stack]
         assert _certified(stack, 2).any() and not _certified(stack, 2).all()
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: MultiQubitState(HermitianOperator(np.eye(128) / 128)), "at most 6 qubits are supported"),
+        (lambda: MultiQubitState(HermitianOperator(np.diag([1.5, -0.5]))), "state must be positive semidefinite"),
+        (lambda: build_state("ghz", 0.5, 1), r"ghz needs 2\.\.6 qubits, got 1"),
+        (lambda: build_state("ghz", 0.5, 7), r"ghz needs 2\.\.6 qubits, got 7"),
+        (lambda: depth_witness(build_state("ghz", 1.0, 3), (0.4, 0.4, -0.4), 2.0), "n must be a positive integer, got 2.0"),
+    ],
+    ids=["too-many-qubits", "not-psd", "ghz-n-below-2", "ghz-n-above-6", "depth-witness-float-n"],
+)
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
