@@ -68,9 +68,9 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    # Reports and criterion verdicts encode as their fields.
+    # Reports and criterion verdicts encode as their fields; the encoder recurses.
     if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -136,7 +136,7 @@ def _cmd_classify(args) -> dict:
         m = PauliMap(_parse_lambda(args.lam))
 
     # Finite inputs can still overflow classify's and the criteria's arithmetic
-    # to inf/nan.
+    # to inf/nan: numpy raises FloatingPointError here, Python's float ** OverflowError.
     try:
         with np.errstate(over="raise", invalid="raise"):
             rep = classify(m)
@@ -156,9 +156,10 @@ def _cmd_classify(args) -> dict:
                 payload["criteria"]["3tsp"] = is_3tsp(lam3)
                 payload["criteria"]["necessary"] = {str(n): ntsp_necessary(lam3, n) for n in (4, 5)}
                 payload["criteria"]["ball"] = {str(n): ntsp_sufficient_ball(lam3, n) for n in (2, 3, 4)}
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         source = "--map" if args.map else "--lambda" if args.t is None else "--lambda and --t"
-        raise ValueError(f"{source} values overflow the closed-form criteria ({exc})") from None
+        # args[-1]: Python's OverflowError carries (errno, message).
+        raise ValueError(f"{source} values overflow the closed-form criteria ({exc.args[-1]})") from None
     return payload
 
 
@@ -171,8 +172,8 @@ def _scan(args):
     try:
         with guard:
             return region_scan(args.criterion, steps=args.grid, params=params, seed=args.seed)
-    except FloatingPointError as exc:
-        raise ValueError(f"--t {args.t!r} overflows the {args.criterion} scan ({exc})") from None
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValueError(f"--t {args.t!r} overflows the {args.criterion} scan ({exc.args[-1]})") from None
 
 
 def _cmd_region(args) -> str:

@@ -2,12 +2,14 @@
 
 A map is given by its Bloch scalings ``(l1, l2, l3)`` with ``l0 = 1``
 (:data:`LambdaPoint` below).  All criteria are evaluated with exact float
-arithmetic on the inputs; numerical tolerances live only in the linalg
-module.
+arithmetic on the inputs, the one-point ones on Python floats; numerical
+tolerances live only in the linalg module.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
@@ -50,10 +52,18 @@ class CriterionVerdict:
     binding_constraint: str
 
 
-def _verdict(slacks: dict[str, float]) -> CriterionVerdict:
-    binding = min(slacks, key=slacks.get)
-    worst = slacks[binding]
-    return CriterionVerdict(satisfied=worst >= 0, worst_slack=worst, binding_constraint=binding)
+def _verdict(labels: Sequence[str], slacks: Sequence[float]) -> CriterionVerdict:
+    """The verdict on ``slacks``, bound by the first least one in ``labels`` order.
+
+    Raises ``FloatingPointError`` when a slack is not finite: Python floats
+    overflow to ``inf`` silently, out of reach of ``np.errstate``.
+    """
+    if not all(map(math.isfinite, slacks)):
+        bad = next(i for i, s in enumerate(slacks) if not math.isfinite(s))
+        raise FloatingPointError(f"slack {labels[bad]} overflows to {slacks[bad]}")
+    worst = min(slacks)
+    binding = labels[slacks.index(worst)]
+    return CriterionVerdict(satisfied=bool(worst >= 0), worst_slack=float(worst), binding_constraint=binding)
 
 
 def as_lambda_point(lam: LambdaPoint) -> np.ndarray:
@@ -65,14 +75,19 @@ def as_lambda_point(lam: LambdaPoint) -> np.ndarray:
     return p
 
 
+_HYPERBOLOID_LABELS = ("1+l1^2>=l2^2+l3^2", "1+l2^2>=l1^2+l3^2", "1+l3^2>=l1^2+l2^2")
+
+
 def is_2tsp(lam: LambdaPoint) -> CriterionVerdict:
     """Two-fold tensor stability: the three hyperboloid inequalities.
 
     Satisfied iff ``1 + l_i^2 >= l_j^2 + l_k^2`` for every axis ``i``.
     Requires ``|l_k| <= 1`` (map positivity) to be meaningful.
     """
-    s1, s2, s3 = hyperboloid_slacks(as_lambda_point(lam))
-    return _verdict({"1+l1^2>=l2^2+l3^2": s1, "1+l2^2>=l1^2+l3^2": s2, "1+l3^2>=l1^2+l2^2": s3})
+    # Raising here keeps numpy's overflow warning off stderr; _verdict raises anyway.
+    with np.errstate(over="raise", invalid="raise"):
+        slacks = hyperboloid_slacks(as_lambda_point(lam)).tolist()
+    return _verdict(_HYPERBOLOID_LABELS, slacks)
 
 
 # The axes j, k other than i, for i = 1, 2, 3 (zero-based).
@@ -119,21 +134,36 @@ def squared_map_choi_eigs(lam: LambdaPoint) -> np.ndarray:
     return eigs
 
 
+_CUBIC_AXES = tuple(permutations((0, 1, 2)))
+_CUBIC_LABELS = tuple(f"i={i + 1},j={j + 1},k={k + 1},{s}" for i, j, k in _CUBIC_AXES for s in "-+")
+
+
 def is_3tsp(lam: LambdaPoint) -> CriterionVerdict:
     """Three-fold tensor stability: the twelve cubic inequalities.
 
     Satisfied iff ``1 -+ l_i^3 -+ 3 l_i l_j^2 + 3 l_k^2 >= 0`` for every
     permutation ``(i, j, k)`` of the axes and both signs.
     """
-    p = as_lambda_point(lam)
-    slacks = {}
-    for i, j, k in permutations((0, 1, 2)):
+    p = as_lambda_point(lam).tolist()
+    slacks = []
+    for i, j, k in _CUBIC_AXES:
         li, lj, lk = p[i], p[j], p[k]
         core = li**3 + 3.0 * li * lj * lj
-        base = f"i={i + 1},j={j + 1},k={k + 1}"
-        slacks[f"{base},-"] = 1.0 - core + 3.0 * lk * lk
-        slacks[f"{base},+"] = 1.0 + core + 3.0 * lk * lk
-    return _verdict(slacks)
+        slacks += (1.0 - core + 3.0 * lk * lk, 1.0 + core + 3.0 * lk * lk)
+    return _verdict(_CUBIC_LABELS, slacks)
+
+
+_NECESSARY_AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
+
+@functools.cache
+def _necessary_labels(n: int) -> tuple[str, ...]:
+    return tuple(
+        f"i={i + 1},j={j + 1},k={k + 1},p={p},s={s}"
+        for i, j, k in _NECESSARY_AXES
+        for p in range(n // 2 + 1)
+        for s in ("+1", "-1")
+    )
 
 
 def ntsp_necessary(lam: LambdaPoint, n: int) -> CriterionVerdict:
@@ -152,9 +182,9 @@ def ntsp_necessary(lam: LambdaPoint, n: int) -> CriterionVerdict:
     ``p <= n // 2``.  The dropped ones repeat these slacks bit for bit.
     """
     n = integer_at_least(n, 1, "n must be a positive integer")
-    pt = as_lambda_point(lam)
-    slacks = {}
-    for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+    pt = as_lambda_point(lam).tolist()
+    slacks = []
+    for i, j, k in _NECESSARY_AXES:
         li, lj, lk = pt[i], pt[j], pt[k]
         u, v = 1.0 + li, 1.0 - li
         x, y = lj + lk, lj - lk
@@ -163,10 +193,8 @@ def ntsp_necessary(lam: LambdaPoint, n: int) -> CriterionVerdict:
             lhs = u**p * v**q + u**q * v**p
             rp = x**p * y**q
             rq = x**q * y**p
-            base = f"i={i + 1},j={j + 1},k={k + 1},p={p}"
-            slacks[f"{base},s=+1"] = lhs - abs(rp + rq)
-            slacks[f"{base},s=-1"] = lhs - abs(rp - rq)
-    return _verdict(slacks)
+            slacks += (lhs - abs(rp + rq), lhs - abs(rp - rq))
+    return _verdict(_necessary_labels(n), slacks)
 
 
 def ntsp_sufficient_ball(lam: LambdaPoint, n: int) -> bool:

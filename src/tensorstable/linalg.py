@@ -238,8 +238,9 @@ class OracleConfig:
     sample_count: int = 4096
 
     def __post_init__(self):
-        if self.restarts < 1 or self.sample_count < 1:
-            raise ValueError("counts must be >= 1")
+        integer_at_least(self.restarts, 1, "restarts must be a positive integer")
+        integer_at_least(self.sample_count, 1, "sample_count must be a positive integer")
+        integer_at_least(self.seed, 0, "seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)

@@ -349,6 +349,10 @@ class ClassificationReport:
     positivity_method: str = "pauli-closed-form"
 
 
+# The first column of a unital E and the first row of a trace-preserving one.
+_E0 = np.array([1.0, 0.0, 0.0, 0.0])
+
+
 def classify(m) -> ClassificationReport:
     """Classify a qubit map (unital / TP / positive / CP / CcP / EB).
 
@@ -360,9 +364,9 @@ def classify(m) -> ClassificationReport:
     numeric block-positivity oracle otherwise (the report records which).
     """
     e = np.asarray(m.matrix, dtype=float)
-    # rtol=0: the default relative tolerance (1e-5) would swamp atol at the 1.
-    unital = bool(np.allclose(e[:, 0], [1, 0, 0, 0], rtol=0, atol=MATRIX_ATOL))
-    tp = bool(np.allclose(e[0, :], [1, 0, 0, 0], rtol=0, atol=MATRIX_ATOL))
+    # Absolute only: a relative tolerance would swamp MATRIX_ATOL at the 1.
+    unital = bool(np.abs(e[:, 0] - _E0).max() <= MATRIX_ATOL)
+    tp = bool(np.abs(e[0, :] - _E0).max() <= MATRIX_ATOL)
     margins: dict = {}
 
     # Diagonal E; count_nonzero is about ten times cheaper than comparing with np.diag.
@@ -389,7 +393,7 @@ def classify(m) -> ClassificationReport:
         margins["ccp"] = float(pt_eigs[0])
         off = e - np.diag(np.diag(e))
         off[3, 0] = 0.0
-        if tp and np.allclose(off, 0, atol=MATRIX_ATOL):
+        if tp and np.abs(off).max() <= MATRIX_ATOL:
             fam = NonUnitalFamilyMap(t=float(e[3, 0]), lam3=tuple(np.diag(e)[1:]))
             verdict = classify_nonunital_positive(fam)
             positive = verdict.satisfied

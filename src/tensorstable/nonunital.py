@@ -135,21 +135,14 @@ def classify_nonunital_positive(m: NonUnitalFamilyMap) -> CriterionVerdict:
     if m.is_interior():
         rr = reduce_to_unital(m)
         t0, t1, t2, t3 = rr.tilde_lam
-        slacks = {
-            "|~l1|<=~l0": t0 - abs(t1),
-            "|~l2|<=~l0": t0 - abs(t2),
-            "|~l3|<=~l0": t0 - abs(t3),
-        }
-        return _verdict(slacks)
+        return _verdict(
+            ("|~l1|<=~l0", "|~l2|<=~l0", "|~l3|<=~l0"), (t0 - abs(t1), t0 - abs(t2), t0 - abs(t3))
+        )
     gap = m.interior_gap()
     if gap >= -BOUNDARY_TOL:
         bound = 1.0 - abs(m.t)
-        slacks = {
-            "l1^2<=1-|t|": bound - m.lam3[0] ** 2,
-            "l2^2<=1-|t|": bound - m.lam3[1] ** 2,
-        }
-        return _verdict(slacks)
-    return CriterionVerdict(satisfied=False, worst_slack=gap, binding_constraint="1-|t|-|l3|>0")
+        return _verdict(("l1^2<=1-|t|", "l2^2<=1-|t|"), (bound - m.lam3[0] ** 2, bound - m.lam3[1] ** 2))
+    return _verdict(("1-|t|-|l3|>0",), (gap,))
 
 
 def is_2tsp_nonunital(m: NonUnitalFamilyMap) -> CriterionVerdict:
@@ -164,11 +157,10 @@ def is_2tsp_nonunital(m: NonUnitalFamilyMap) -> CriterionVerdict:
     rr = reduce_to_unital(m)
     t0, t1, t2, t3 = rr.tilde_lam
     s0, s1, s2, s3 = t0 * t0, t1 * t1, t2 * t2, t3 * t3
-    slacks = {
-        "~l0^2+~l3^2>=|~l1^2+~l2^2|": (s0 + s3) - abs(s1 + s2),
-        "~l0^2-~l3^2>=|~l1^2-~l2^2|": (s0 - s3) - abs(s1 - s2),
-    }
-    return _verdict(slacks)
+    return _verdict(
+        ("~l0^2+~l3^2>=|~l1^2+~l2^2|", "~l0^2-~l3^2>=|~l1^2-~l2^2|"),
+        ((s0 + s3) - abs(s1 + s2), (s0 - s3) - abs(s1 - s2)),
+    )
 
 
 def ghz_output_conditions(m: NonUnitalFamilyMap) -> CriterionVerdict:
@@ -182,10 +174,10 @@ def ghz_output_conditions(m: NonUnitalFamilyMap) -> CriterionVerdict:
     l1, l2, l3 = m.lam3
     a, b, c, tt = l1 * l1, l2 * l2, l3 * l3, t * t
     root = np.sqrt(4.0 * tt + (a + b) ** 2)
-    slacks = {
-        "inner+": (1.0 - tt - c) + (a - b),
-        "inner-": (1.0 - tt - c) - (a - b),
-        "outer-": (1.0 + tt + c) - root,
-        "outer+": (1.0 + tt + c) + root,
-    }
-    return _verdict(slacks)
+    slacks = (
+        (1.0 - tt - c) + (a - b),
+        (1.0 - tt - c) - (a - b),
+        (1.0 + tt + c) - root,
+        (1.0 + tt + c) + root,
+    )
+    return _verdict(("inner+", "inner-", "outer-", "outer+"), slacks)

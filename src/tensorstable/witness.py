@@ -238,6 +238,7 @@ def threshold_search(family: str, n: int, steps: int = 21) -> ThresholdResult:
     """
     if family not in ("ghz", "w"):
         raise ValueError(f"unknown state family {family!r}")
+    n = integer_at_least(n, 1, "n must be a positive integer")
     if n not in (1, 2):
         raise ValueError(f"threshold search supports n in {{1, 2}}, got {n}")
     steps = integer_at_least(steps, 2, "a grid needs an integer of at least 2 steps")

@@ -196,6 +196,21 @@ class TestClassify:
         # pytest captures warnings before they reach stderr; recwarn sees them.
         assert "Warning" not in err and not recwarn.list
 
+    @pytest.mark.parametrize("source", ["--lambda", "--map"])
+    def test_translated_map_whose_ghz_root_overflows_is_a_domain_error(self, capsys, recwarn, tmp_path, source):
+        # (l1^2 + l2^2)^2 overflows in Python's float power, which raises OverflowError.
+        if source == "--map":
+            path = tmp_path / "map.json"
+            path.write_text('{"lambda": [1, 0.5, 1e154, -1e308], "t": [0, 0, -0.5]}')
+            argv = ["--map", str(path)]
+        else:
+            argv = ["--lambda", "0.5,1e154,-1e308", "--t", "-0.5"]
+        code, out, err = run(capsys, "classify", *argv)
+        named = "--map" if source == "--map" else "--lambda and --t"
+        assert code == 2 and out == ""
+        assert err.startswith(f"domain error: {named} values overflow") and err.count("\n") == 1
+        assert not recwarn.list
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(

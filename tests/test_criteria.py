@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tensorstable.criteria import (
-    _verdict,
     as_lambda_point,
     depolarizing_pair_positive,
     hyperboloid_point,
@@ -104,8 +103,19 @@ class TestIs3Tsp:
         assert v.satisfied
 
 
+def _numpy_verdict(slacks):
+    """``(satisfied, worst_slack bytes, binding_constraint)`` of a dict of slacks, bound by its first least one."""
+    binding = min(slacks, key=slacks.get)
+    return bool(slacks[binding] >= 0), np.float64(slacks[binding]).tobytes(), binding
+
+
+def _bits(v):
+    return v.satisfied, np.float64(v.worst_slack).tobytes(), v.binding_constraint
+
+
 def _ntsp_necessary_loop(lam, n):
-    """Reference for ntsp_necessary: every permutation and every split p + q = n."""
+    """Reference for ntsp_necessary on numpy scalars: every permutation and every
+    split p + q = n."""
     pt = as_lambda_point(lam)
     slacks = {}
     for i, j, k in permutations((0, 1, 2)):
@@ -120,7 +130,7 @@ def _ntsp_necessary_loop(lam, n):
             base = f"i={i + 1},j={j + 1},k={k + 1},p={p}"
             slacks[f"{base},s=+1"] = lhs - abs(rp + rq)
             slacks[f"{base},s=-1"] = lhs - abs(rp - rq)
-    return _verdict(slacks)
+    return _numpy_verdict(slacks)
 
 
 def _necessary_points(rng):
@@ -137,10 +147,7 @@ class TestNtspNecessary:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equals_full_loop_bytewise(self, n):
         for p in _necessary_points(np.random.default_rng(n)):
-            got, want = ntsp_necessary(p, n), _ntsp_necessary_loop(p, n)
-            assert got.satisfied == want.satisfied
-            assert np.float64(got.worst_slack).tobytes() == np.float64(want.worst_slack).tobytes()
-            assert got.binding_constraint == want.binding_constraint
+            assert _bits(ntsp_necessary(p, n)) == _ntsp_necessary_loop(p, n)
 
     def test_specializes_to_2tsp(self):
         for p in random_points(2000):
@@ -169,6 +176,71 @@ class TestNtspNecessary:
         for p in random_points(500):
             if is_3tsp(p).satisfied:
                 assert is_2tsp(p).satisfied
+
+
+def _hyperboloid_reference(p):
+    a, b, c = p * p
+    slacks = {
+        "1+l1^2>=l2^2+l3^2": (1.0 + a) - (b + c),
+        "1+l2^2>=l1^2+l3^2": (1.0 + b) - (a + c),
+        "1+l3^2>=l1^2+l2^2": (1.0 + c) - (a + b),
+    }
+    return _numpy_verdict(slacks)
+
+
+def _cubic_reference(p):
+    slacks = {}
+    for i, j, k in permutations((0, 1, 2)):
+        li, lj, lk = p[i], p[j], p[k]
+        core = li**3 + 3.0 * li * lj * lj
+        slacks[f"i={i + 1},j={j + 1},k={k + 1},-"] = 1.0 - core + 3.0 * lk * lk
+        slacks[f"i={i + 1},j={j + 1},k={k + 1},+"] = 1.0 + core + 3.0 * lk * lk
+    return _numpy_verdict(slacks)
+
+
+class TestOnePointPath:
+    """The one-point criteria compute on Python floats; numpy scalars give the same bits."""
+
+    def test_uniform_points_match_the_numpy_reference(self):
+        for p in np.random.default_rng(21).uniform(-1.0, 1.0, (20000, 3)):
+            assert _bits(is_2tsp(p)) == _hyperboloid_reference(p)
+            assert _bits(is_3tsp(p)) == _cubic_reference(p)
+            for n in (4, 5):
+                assert _bits(ntsp_necessary(p, n)) == _ntsp_necessary_loop(p, n)
+
+    def test_tied_grid_points_match_the_numpy_reference(self):
+        # Quarter steps and one-decimal rounding tie slacks, signed zeros among them.
+        quarters = np.linspace(-1.0, 1.0, 9)
+        grid = np.stack(np.meshgrid(quarters, quarters, quarters), axis=-1).reshape(-1, 3)
+        rounded = np.round(np.random.default_rng(22).uniform(-1.1, 1.1, (2000, 3)), 1)
+        for p in np.concatenate([grid, rounded, -grid]):
+            assert _bits(is_2tsp(p)) == _hyperboloid_reference(p)
+            assert _bits(is_3tsp(p)) == _cubic_reference(p)
+            for n in range(1, 7):
+                assert _bits(ntsp_necessary(p, n)) == _ntsp_necessary_loop(p, n)
+
+    def test_a_tie_binds_the_first_constraint(self):
+        assert is_2tsp((0.5, 0.5, 0.5)).binding_constraint == "1+l1^2>=l2^2+l3^2"
+        assert is_3tsp((0.0, 0.0, 0.0)).binding_constraint == "i=1,j=2,k=3,-"
+        assert ntsp_necessary((0.0, 0.0, 0.0), 4).binding_constraint == "i=1,j=2,k=3,p=0,s=+1"
+
+    def test_verdict_fields_are_python_scalars(self):
+        p = (0.5, -0.4, 0.3)
+        for v in (is_2tsp(p), is_3tsp(p), *(ntsp_necessary(p, n) for n in range(1, 7))):
+            assert type(v.satisfied) is bool and type(v.worst_slack) is float
+
+    @pytest.mark.parametrize(
+        "criterion", [is_2tsp, is_3tsp, lambda p: ntsp_necessary(p, 4)], ids=["2tsp", "3tsp", "necessary-4"]
+    )
+    def test_overflow_raises_without_a_warning(self, recwarn, criterion):
+        with pytest.raises((FloatingPointError, OverflowError)):
+            criterion((1e200, 0.0, 0.0))
+        assert not recwarn.list
+
+    def test_a_product_that_overflows_silently_still_raises(self):
+        # 5e102**3 is finite and 3 * 5e102**3 is not: Python's float * gives inf without an error.
+        with pytest.raises(FloatingPointError, match="slack i=1,j=2,k=3,- overflows to -inf"):
+            is_3tsp((5e102, 5e102, 0.0))
 
 
 class TestSufficientBall:

@@ -242,6 +242,26 @@ def v_slack(m, name):
     }[name]
 
 
+@pytest.mark.parametrize(
+    "t,lam3",
+    [(0.3, (0.4, -0.2, 0.5)), (0.5, (0.3, 0.9, 0.5)), (0.5, (0.3, 0.2, 0.7))],
+    ids=["interior", "boundary", "exterior"],
+)
+def test_verdict_fields_are_python_scalars(t, lam3):
+    m = NonUnitalFamilyMap(t, lam3)
+    verdicts = [classify_nonunital_positive(m), ghz_output_conditions(m)]
+    if m.is_interior():
+        verdicts.append(is_2tsp_nonunital(m))
+    for v in verdicts:
+        assert type(v.satisfied) is bool and type(v.worst_slack) is float
+
+
+def test_exterior_gap_that_overflows_raises():
+    # |t| + |l3| overflows to inf, so the exterior verdict's slack would read -inf.
+    with pytest.raises(FloatingPointError, match=r"slack 1-\|t\|-\|l3\|>0 overflows to -inf"):
+        classify_nonunital_positive(NonUnitalFamilyMap(1e308, (0.1, 0.1, 1e308)))
+
+
 def test_rejects_lam3_of_the_wrong_length():
     with pytest.raises(ValueError, match="lam3 must have three components"):
         NonUnitalFamilyMap(0.1, (0.5, 0.5))

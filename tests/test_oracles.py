@@ -39,6 +39,22 @@ class TestOracleConfig:
         with pytest.raises(ValueError):
             OracleConfig(restarts=0)
 
+    @pytest.mark.parametrize(
+        "field,value,rule",
+        [
+            ("restarts", 2.5, "restarts must be a positive integer"),
+            ("sample_count", 3.5, "sample_count must be a positive integer"),
+            ("seed", 1.5, "seed must be a non-negative integer"),
+            ("seed", -1, "seed must be a non-negative integer"),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, field, value, rule):
+        with pytest.raises(ValueError, match=f"{rule}, got {value}"):
+            block_positivity_min(choi(PauliMap((1, 0.5, 0.5, 0.5))), cut=(0,), cfg=OracleConfig(**{field: value}))
+
+    def test_numpy_integers_are_accepted(self):
+        assert OracleConfig(restarts=np.int64(2), sample_count=np.int32(8), seed=np.uint8(3)).seed == 3
+
 
 class TestSymmetricLinspace:
     def test_mirror_exactness(self):

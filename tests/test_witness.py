@@ -401,8 +401,9 @@ class TestScanArrays:
         (lambda: build_state("ghz", 0.5, 1), r"ghz needs 2\.\.6 qubits, got 1"),
         (lambda: build_state("ghz", 0.5, 7), r"ghz needs 2\.\.6 qubits, got 7"),
         (lambda: depth_witness(build_state("ghz", 1.0, 3), (0.4, 0.4, -0.4), 2.0), "n must be a positive integer, got 2.0"),
+        (lambda: threshold_search("ghz", 1.0, steps=5), "n must be a positive integer, got 1.0"),
     ],
-    ids=["too-many-qubits", "not-psd", "ghz-n-below-2", "ghz-n-above-6", "depth-witness-float-n"],
+    ids=["too-many-qubits", "not-psd", "ghz-n-below-2", "ghz-n-above-6", "depth-witness-float-n", "threshold-float-n"],
 )
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
