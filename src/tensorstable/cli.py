@@ -135,8 +135,9 @@ def _cmd_classify(args) -> dict:
     else:
         m = PauliMap(_parse_lambda(args.lam))
 
-    # Finite inputs can still overflow classify's and the criteria's arithmetic
-    # to inf/nan: numpy raises FloatingPointError here, Python's float ** OverflowError.
+    # Finite inputs can still overflow classify's and the criteria's arithmetic to inf/nan.
+    # The float paths raise FloatingPointError themselves, numpy does under this errstate,
+    # and Python's float ** raises OverflowError.
     try:
         with np.errstate(over="raise", invalid="raise"):
             rep = classify(m)

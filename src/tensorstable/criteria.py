@@ -52,15 +52,20 @@ class CriterionVerdict:
     binding_constraint: str
 
 
+def _require_finite(kind: str, labels: Sequence[str], values: Sequence[float]) -> None:
+    """Raise ``FloatingPointError`` naming the first of ``values`` that is not
+    finite: Python floats overflow to ``inf`` silently, out of reach of ``np.errstate``."""
+    if not all(map(math.isfinite, values)):
+        bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
+        raise FloatingPointError(f"{kind} {labels[bad]} overflows to {values[bad]}")
+
+
 def _verdict(labels: Sequence[str], slacks: Sequence[float]) -> CriterionVerdict:
     """The verdict on ``slacks``, bound by the first least one in ``labels`` order.
 
-    Raises ``FloatingPointError`` when a slack is not finite: Python floats
-    overflow to ``inf`` silently, out of reach of ``np.errstate``.
+    Raises ``FloatingPointError`` when a slack is not finite.
     """
-    if not all(map(math.isfinite, slacks)):
-        bad = next(i for i, s in enumerate(slacks) if not math.isfinite(s))
-        raise FloatingPointError(f"slack {labels[bad]} overflows to {slacks[bad]}")
+    _require_finite("slack", labels, slacks)
     worst = min(slacks)
     binding = labels[slacks.index(worst)]
     return CriterionVerdict(satisfied=bool(worst >= 0), worst_slack=float(worst), binding_constraint=binding)
@@ -70,7 +75,7 @@ def as_lambda_point(lam: LambdaPoint) -> np.ndarray:
     p = np.asarray(lam, dtype=float)
     if p.shape != (3,):
         raise ValueError("a lambda point has exactly three components")
-    if not np.isfinite(p).all():
+    if not all(map(math.isfinite, p.tolist())):
         raise ValueError(f"lambda values must be finite, got {p}")
     return p
 
@@ -205,20 +210,21 @@ def ntsp_sufficient_ball(lam: LambdaPoint, n: int) -> bool:
     """
     n = integer_at_least(n, 2, "the power-sum ball needs n >= 2")
     p = as_lambda_point(lam)
-    return bool(np.sum(np.abs(p) ** (n / (n - 1))) <= 1.0)
+    return bool((np.abs(p) ** (n / (n - 1))).sum() <= 1.0)
 
 
 def lift_x_max(lam: LambdaPoint, n: int) -> float:
     """Largest admissible mixing parameter in :func:`lift_ntsp`.  Points outside
     the Bloch cube are not positive, so not n-stable for any ``n``: they raise."""
     n = integer_at_least(n, 1, "n must be a positive integer")
-    p = np.abs(as_lambda_point(lam))
-    if p.max() > 1.0:
-        raise ValueError(f"lift requires a positive map, max |lambda_i| <= 1, got {p.max()}")
-    total = float(p.sum())
+    a, b, c = (abs(v) for v in as_lambda_point(lam).tolist())
+    top = max(a, b, c)
+    if top > 1.0:
+        raise ValueError(f"lift requires a positive map, max |lambda_i| <= 1, got {top}")
+    # numpy's sum of three entries runs left to right, as here.
+    total = a + b + c
     if total < 1.0:
         raise ValueError("lift requires sum |lambda_i| >= 1")
-    top = float(p.max())
     return 0.5 * (1.0 - top / total) * (2.0 / top) ** (1.0 / (n + 1))
 
 

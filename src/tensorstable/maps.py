@@ -30,6 +30,7 @@ from .linalg import (
     partial_transpose,
     psd_verdict,
 )
+from .criteria import _require_finite
 from .nonunital import NonUnitalFamilyMap, classify_nonunital_positive
 
 __all__ = [
@@ -66,12 +67,19 @@ _TO_PAULI = np.array([s.conj().reshape(-1) for s in SIGMA])
 _FROM_PAULI = _TO_PAULI.conj().T / 2.0
 
 
+def _pauli_weights(l0: float, l1: float, l2: float, l3: float) -> tuple[float, float, float, float]:
+    """``H4 @ lambda / 4`` on Python floats, bit for bit numpy's: its dot of
+    four entries sums them pairwise from a ``+0.0`` start, so no weight is ``-0.0``."""
+    a, b, c, d = l0 + l2, l1 + l3, l0 - l2, l1 - l3
+    return ((a + b + 0.0) / 4.0, (c + d + 0.0) / 4.0, (a - b + 0.0) / 4.0, (c - d + 0.0) / 4.0)
+
+
 def lambda_to_q(lam: Sequence[float]) -> np.ndarray:
     """Conjugation weights ``q = H4 @ lambda / 4``; involutive up to the 1/4."""
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (4,):
         raise ValueError("lambda must have four components")
-    return H4 @ lam / 4.0
+    return np.array(_pauli_weights(*lam.tolist()))
 
 
 def _check_2x2(x) -> np.ndarray:
@@ -349,37 +357,48 @@ class ClassificationReport:
     positivity_method: str = "pauli-closed-form"
 
 
-# The first column of a unital E and the first row of a trace-preserving one.
-_E0 = np.array([1.0, 0.0, 0.0, 0.0])
+def _is_e0(v: list[float]) -> bool:
+    """``v`` is ``(1, 0, 0, 0)`` within MATRIX_ATOL in every entry.
+
+    Absolute only: a relative tolerance would swamp MATRIX_ATOL at the 1.
+    """
+    return max(abs(v[0] - 1.0), abs(v[1]), abs(v[2]), abs(v[3])) <= MATRIX_ATOL
+
+
+# What the closed-form branch of classify checks for overflow, in order.
+_PAULI_LABELS = (*(f"weight q{j}" for j in range(4)), *(f"CcP weight q{j}" for j in range(4)), "positivity margin")
 
 
 def classify(m) -> ClassificationReport:
     """Classify a qubit map (unital / TP / positive / CP / CcP / EB).
 
     The branch follows from the Pauli-basis matrix ``E`` (``m.matrix``) alone.
-    A diagonal ``E`` takes the closed-form Pauli-map conditions.  Any other
-    map falls back on its Choi operator and that operator's partial transpose
-    for CP / CcP / EB (EB is CP and CcP together); positivity uses the
-    exact translated-family conditions when ``E`` has that shape and the
-    numeric block-positivity oracle otherwise (the report records which).
+    A diagonal ``E`` takes the closed-form Pauli-map conditions, on Python
+    floats; they raise ``FloatingPointError`` when a weight or margin
+    overflows.  Any other map falls back on its Choi operator and that
+    operator's partial transpose for CP / CcP / EB (EB is CP and CcP
+    together); positivity uses the exact translated-family conditions when
+    ``E`` has that shape and the numeric block-positivity oracle otherwise
+    (the report records which).
     """
     e = np.asarray(m.matrix, dtype=float)
-    # Absolute only: a relative tolerance would swamp MATRIX_ATOL at the 1.
-    unital = bool(np.abs(e[:, 0] - _E0).max() <= MATRIX_ATOL)
-    tp = bool(np.abs(e[0, :] - _E0).max() <= MATRIX_ATOL)
+    unital = _is_e0(e[:, 0].tolist())
+    tp = _is_e0(e[0].tolist())
     margins: dict = {}
 
     # Diagonal E; count_nonzero is about ten times cheaper than comparing with np.diag.
     if np.count_nonzero(e) == np.count_nonzero(e.diagonal()):
-        lam = np.diag(e)
-        q = lambda_to_q(lam)
-        q_ccp = lambda_to_q(lam * np.array([1, 1, -1, 1]))
-        positive = bool(lam[0] >= 0 and np.max(np.abs(lam[1:])) <= lam[0])
-        cp = bool(q.min() >= 0)
-        ccp = bool(q_ccp.min() >= 0)
-        margins["positivity"] = float(min(lam[0], (lam[0] - np.abs(lam[1:])).min()))
-        margins["cp"] = float(q.min())
-        margins["ccp"] = float(q_ccp.min())
+        l0, l1, l2, l3 = e.diagonal().tolist()
+        # Neither holds -0.0, so min picks the same zero as numpy's would.
+        q = _pauli_weights(l0, l1, l2, l3)
+        q_ccp = _pauli_weights(l0, l1, -l2, l3)
+        margins["positivity"] = min(l0, l0 - abs(l1), l0 - abs(l2), l0 - abs(l3))
+        _require_finite("Pauli-map", _PAULI_LABELS, (*q, *q_ccp, margins["positivity"]))
+        positive = l0 >= 0 and max(abs(l1), abs(l2), abs(l3)) <= l0
+        margins["cp"] = min(q)
+        margins["ccp"] = min(q_ccp)
+        cp = margins["cp"] >= 0
+        ccp = margins["ccp"] >= 0
         method = "pauli-closed-form"
     else:
         omega = choi(m)

@@ -104,16 +104,16 @@ def reduce_to_unital(m: NonUnitalFamilyMap) -> ReductionResult:
     q = (1.0 + l3) ** 2 - t * t
     r_minus = (1.0 - t) ** 2 - l3 * l3
     r_plus = (1.0 + t) ** 2 - l3 * l3
-    root = np.sqrt(r_minus * r_plus)
-    scale = np.sqrt(p * r_minus * r_plus)
+    root = math.sqrt(r_minus * r_plus)
+    scale = math.sqrt(p * r_minus * r_plus)
     tilde = (
         0.5 * p * (q + root),
         l1 * scale,
         l2 * scale,
         0.5 * p * (q - root),
     )
-    a_plus = np.sqrt(1.0 + t - l3)
-    a_minus = np.sqrt(1.0 - t - l3)
+    a_plus = math.sqrt(1.0 + t - l3)
+    a_minus = math.sqrt(1.0 - t - l3)
     # Magnitudes of the fourth roots: a sign there would make the factors
     # indefinite.  B has no 1/2 prefactor; with it the coefficient formulas
     # above would pick up a factor of 4 and break the reconstruction
@@ -173,7 +173,7 @@ def ghz_output_conditions(m: NonUnitalFamilyMap) -> CriterionVerdict:
     t = m.t
     l1, l2, l3 = m.lam3
     a, b, c, tt = l1 * l1, l2 * l2, l3 * l3, t * t
-    root = np.sqrt(4.0 * tt + (a + b) ** 2)
+    root = math.sqrt(4.0 * tt + (a + b) ** 2)
     slacks = (
         (1.0 - tt - c) + (a - b),
         (1.0 - tt - c) - (a - b),

@@ -196,6 +196,13 @@ class TestClassify:
         # pytest captures warnings before they reach stderr; recwarn sees them.
         assert "Warning" not in err and not recwarn.list
 
+    def test_pauli_weights_that_overflow_are_a_domain_error(self, capsys, recwarn):
+        # "=" keeps argparse from reading the leading minus as an option.
+        code, out, err = run(capsys, "classify", "--lambda=-1e308,1e308,0,0")
+        assert code == 2 and out == ""
+        assert err.startswith("domain error: --lambda values overflow") and err.count("\n") == 1
+        assert not recwarn.list
+
     @pytest.mark.parametrize("source", ["--lambda", "--map"])
     def test_translated_map_whose_ghz_root_overflows_is_a_domain_error(self, capsys, recwarn, tmp_path, source):
         # (l1^2 + l2^2)^2 overflows in Python's float power, which raises OverflowError.

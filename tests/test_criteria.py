@@ -285,6 +285,19 @@ class TestLift:
         with pytest.raises(ValueError, match="sum"):
             lift_ntsp((0.2, 0.2, 0.2), 1)
 
+    def test_x_max_matches_the_numpy_reference(self):
+        # The float path sums |l_i| left to right, as numpy's three-entry sum does.
+        rng = np.random.default_rng(2204)
+        points = np.concatenate([rng.uniform(-1.0, 1.0, (5000, 3)), np.round(rng.uniform(-1.0, 1.0, (2000, 3)), 1)])
+        for p in points:
+            a = np.abs(p)
+            if a.sum() < 1.0:
+                continue
+            top, total = float(a.max()), float(a.sum())
+            for n in (1, 2, 3):
+                expected = 0.5 * (1.0 - top / total) * (2.0 / top) ** (1.0 / (n + 1))
+                assert lift_x_max(p, n).hex() == expected.hex(), (p, n)
+
     @pytest.mark.parametrize("lam", [(1.5, 0.0, 0.0), (1e300, 1e300, 1e300), (0.5, -1.0 - 1e-12, 0.5)])
     def test_rejects_points_outside_the_cube(self, lam):
         # Not positive, hence not n-tensor-stable for any n: nothing to lift.
@@ -392,11 +405,12 @@ class TestHyperboloidPoint:
         (lambda: lift_x_max((1, 0, 1), 1.5), "n must be a positive integer, got 1.5"),
         (lambda: lift_ntsp((1, 0, 1), 1.5), "n must be a positive integer, got 1.5"),
         (lambda: as_lambda_point((0.5, 0.5)), "a lambda point has exactly three components"),
+        (lambda: as_lambda_point((0.5, np.nan, 0.5)), r"lambda values must be finite, got \[0.5 nan 0.5\]"),
         (lambda: lift_x_max((1, 0, 1), 0), "n must be a positive integer, got 0"),
     ],
     ids=[
         "mu_bound-n", "mu_bound-nan", "mu_bound-inf", "necessary-n", "ball-n", "lift_x_max-n", "lift_ntsp-n",
-        "lambda-shape", "lift_x_max-n-below-1",
+        "lambda-shape", "lambda-nan", "lift_x_max-n-below-1",
     ],
 )
 def test_input_checks(call, match):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from tensorstable.criteria import is_2tsp
 from tensorstable.linalg import (
+    MATRIX_ATOL,
     SIGMA,
     HermitianOperator,
     hermitian_spectrum,
@@ -17,6 +19,8 @@ from tensorstable.linalg import (
     symmetric_linspace,
 )
 from tensorstable.maps import (
+    H4,
+    ClassificationReport,
     GeneralQubitMap,
     PauliDiagonalMap,
     PauliMap,
@@ -269,6 +273,79 @@ class TestClassify:
         g = GeneralQubitMap(np.diag([l0, 0.5, 0.5, 0.5]))
         assert not classify(g).unital
         assert classify(PauliMap((1 + 1e-13, 0.5, 0.5, 0.5))).unital
+
+
+def _numpy_pauli_classify(lam) -> ClassificationReport:
+    """The closed-form branch of ``classify`` on numpy arrays: the reference for its float path."""
+    e = np.diag(np.asarray(lam, dtype=float))
+    e0 = np.array([1.0, 0.0, 0.0, 0.0])
+    lam = np.diag(e)
+    q = H4 @ lam / 4.0
+    q_ccp = H4 @ (lam * np.array([1, 1, -1, 1])) / 4.0
+    cp, ccp = float(q.min()), float(q_ccp.min())
+    return ClassificationReport(
+        unital=bool(np.abs(e[:, 0] - e0).max() <= MATRIX_ATOL),
+        trace_preserving=bool(np.abs(e[0, :] - e0).max() <= MATRIX_ATOL),
+        positive=bool(lam[0] >= 0 and np.max(np.abs(lam[1:])) <= lam[0]),
+        cp=bool(q.min() >= 0),
+        ccp=bool(q_ccp.min() >= 0),
+        eb=bool(q.min() >= 0) and bool(q_ccp.min() >= 0),
+        margins={
+            "positivity": float(min(lam[0], (lam[0] - np.abs(lam[1:])).min())),
+            "cp": cp,
+            "ccp": ccp,
+            "eb": min(cp, ccp),
+        },
+    )
+
+
+def _closed_form_points():
+    """Uniform points in and outside the cube, l0 <= 0 among them; one-decimal
+    points, with ties and signed zeros; a grid of ties; magnitudes from 1e-320 to 1e300."""
+    rng = np.random.default_rng(2203)
+    zeros = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    grid = np.stack(np.meshgrid(zeros, zeros, zeros, zeros), axis=-1).reshape(-1, 4)
+    scaled = rng.uniform(-1.0, 1.0, (1000, 4)) * 10.0 ** rng.integers(-320, 300, (1000, 4))
+    return np.concatenate(
+        [rng.uniform(-1.2, 1.2, (20000, 4)), np.round(rng.uniform(-1.2, 1.2, (5000, 4)), 1), grid, scaled]
+    )
+
+
+class TestClosedFormFloatPath:
+    """``classify`` computes a diagonal map's verdicts on Python floats, bit for bit numpy's."""
+
+    def test_reports_match_the_numpy_reference(self):
+        for lam in _closed_form_points():
+            rep = classify(PauliMap(tuple(lam)))
+            assert repr(rep) == repr(_numpy_pauli_classify(lam)), lam
+
+    def test_weights_match_the_hadamard_product(self):
+        for lam in _closed_form_points():
+            assert lambda_to_q(lam).tobytes() == (H4 @ lam / 4.0).tobytes(), lam
+
+    def test_report_fields_are_python_scalars(self):
+        rep = classify(PauliMap((1.0, 0.3, -0.2, 0.5)))
+        flags = (rep.unital, rep.trace_preserving, rep.positive, rep.cp, rep.ccp, rep.eb)
+        assert all(type(v) is bool for v in flags)
+        assert all(type(v) is float for v in rep.margins.values())
+
+    @pytest.mark.parametrize(
+        "lam,match",
+        [
+            ((-1e308, 1e308, 0.0, 0.0), "Pauli-map weight q2 overflows to -inf"),
+            ((1.0, 1e308, 0.0, 1e308), "Pauli-map weight q0 overflows to inf"),
+            ((5e307, 5e307, -5e307, 5e307), "Pauli-map CcP weight q0 overflows to inf"),
+            ((-1e308, 1e308, 1e308, -1e308), "Pauli-map weight q1 overflows to nan"),
+        ],
+        ids=["q2", "q0", "ccp-q0", "q1-nan"],
+    )
+    def test_overflow_raises_without_a_warning(self, lam, match):
+        # Python floats overflow silently; numpy used to warn and report an inf margin.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError, match=match):
+                classify(PauliMap(lam))
+        assert not caught
 
 
 class TestTensorApply:

@@ -262,6 +262,26 @@ def test_exterior_gap_that_overflows_raises():
         classify_nonunital_positive(NonUnitalFamilyMap(1e308, (0.1, 0.1, 1e308)))
 
 
+@pytest.mark.parametrize(
+    "call,m,match",
+    [
+        (is_2tsp_nonunital, NonUnitalFamilyMap(0.5, (1e308, 0.0, 0.0)), r"slack ~l0\^2\+~l3\^2>=.* overflows to -inf"),
+        (ghz_output_conditions, NonUnitalFamilyMap(1.4e154, (0.1, 0.1, 0.1)), r"slack inner\+ overflows to -inf"),
+    ],
+    ids=["2tsp-huge-l1", "ghz-huge-t"],
+)
+def test_overflow_raises_without_a_warning(recwarn, call, m, match):
+    # The square roots give Python floats, which overflow without numpy's RuntimeWarning.
+    with pytest.raises(FloatingPointError, match=match):
+        call(m)
+    assert not recwarn.list
+
+
+def test_reduction_coefficients_are_python_floats():
+    rr = reduce_to_unital(NonUnitalFamilyMap(0.3, (0.4, -0.2, 0.5)))
+    assert all(type(v) is float for v in rr.tilde_lam)
+
+
 def test_rejects_lam3_of_the_wrong_length():
     with pytest.raises(ValueError, match="lam3 must have three components"):
         NonUnitalFamilyMap(0.1, (0.5, 0.5))
