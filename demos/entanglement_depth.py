@@ -20,15 +20,16 @@ for q in (0.6, 0.72, 0.9):
     tag = f"depth >= {v.lower_bound}" if v.lower_bound > 1 else "inconclusive"
     print(f"  q={q:.2f}: min output eigenvalue {v.neg_eig:+.4f} -> {tag}")
 
-print("\ndetection thresholds over scanned certified map families")
+print("\nexact detection thresholds over certified maps")
 for family, n, meaning in [
     ("ghz", 1, "not fully separable"),
     ("ghz", 2, "genuinely entangled"),
     ("w", 1, "not fully separable"),
     ("w", 2, "genuinely entangled"),
 ]:
-    res = threshold_search(family, n, steps=21)
-    lam = tuple(round(float(v), 3) for v in res.witness)
+    res = threshold_search(family, n)
+    # + 0.0 prints a component that rounds to -0.0 as 0.0.
+    lam = tuple(round(float(v), 3) + 0.0 for v in res.witness)
     print(
         f"  {family:3} n={n}: {meaning} for q > {res.q_star:.3f} "
         f"(witness l = {lam})"

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 malformed input, 2 domain error, 3 numeric error.
 Output is deterministic for a fixed command line; ``region`` and ``verify``
-pass ``--seed`` to ``region_scan(..., seed=)``.  ``witness --steps`` is the
-resolution ``threshold_search(..., steps=)`` scans its maps at.
+pass ``--seed`` to ``region_scan(..., seed=)``.  ``witness`` prints
+``threshold_search(family, n)``: the exact detection onset and its witness map.
 """
 
 from __future__ import annotations
@@ -208,8 +208,7 @@ def _cmd_reduce(args) -> dict:
 
 
 def _cmd_witness(args) -> dict:
-    res = threshold_search(args.family, args.n, steps=args.steps)
-    return {"family": args.family, "n": args.n, **dataclasses.asdict(res)}
+    return {"family": args.family, "n": args.n, **dataclasses.asdict(threshold_search(args.family, args.n))}
 
 
 @functools.cache
@@ -217,16 +216,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tensorstable", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run, size=None):
+    def common(p, run):
         p.add_argument("--out", help="write the result to this path instead of stdout")
-        p.set_defaults(run=run, size=size)
+        p.set_defaults(run=run)
 
     def scan(p, run):
         p.add_argument("--criterion", required=True, choices=region_criteria())
         p.add_argument("--grid", type=_int_at_least(2), default=None, help="steps per axis (at least 2)")
         p.add_argument("--t", type=_finite_float, default=None, help="family translation parameter")
         p.add_argument("--seed", type=_int_at_least(0), default=0, help="oracle seed (at least 0)")
-        common(p, run, "grid")
+        common(p, run)
 
     p = sub.add_parser("classify", help="classify a qubit map and run all criteria")
     source = p.add_mutually_exclusive_group(required=True)
@@ -258,8 +257,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("witness", help="entanglement-depth detection threshold search")
     p.add_argument("--family", required=True, choices=("ghz", "w"))
     p.add_argument("--n", type=int, required=True, choices=(1, 2))
-    p.add_argument("--steps", type=_int_at_least(2), default=21, help="witness-map grid resolution (at least 2)")
-    common(p, _cmd_witness, "steps")
+    common(p, _cmd_witness)
 
     return parser
 
@@ -279,10 +277,10 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except MemoryError:
-        # Only the scans allocate by an input's size: --grid per axis, or --steps.
-        if args.size is None:
+        # Only the scans allocate by an input's size: --grid per axis.
+        if "grid" not in vars(args):
             raise
-        sys.stderr.write(f"error: --{args.size} {getattr(args, args.size)} is too fine: its points do not fit in memory\n")
+        sys.stderr.write(f"error: --grid {args.grid} is too fine: its points do not fit in memory\n")
         return 1
     except ConvergenceError as exc:
         sys.stderr.write(f"numeric error: {exc}\n")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
@@ -72,7 +73,10 @@ def _verdict(labels: Sequence[str], slacks: Sequence[float]) -> CriterionVerdict
 
 
 def as_lambda_point(lam: LambdaPoint) -> np.ndarray:
-    p = np.asarray(lam, dtype=float)
+    try:
+        p = np.asarray(lam, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"lambda values must be numbers, got {lam!r}") from None
     if p.shape != (3,):
         raise ValueError("a lambda point has exactly three components")
     if not all(map(math.isfinite, p.tolist())):
@@ -251,17 +255,18 @@ def mu_bound(min_eig_phi: float, min_eig_eb: float, n: int) -> float:
 
     Solves ``mu / (1 - mu) <= (min_eig_eb / |min_eig_phi|)^(1/(n+1))`` for
     the largest ``mu`` in ``[0, 1]``; returns 1 when the map output is
-    already positive (``min_eig_phi >= 0``).
+    already positive (``min_eig_phi >= 0``) or the ratio overflows.
     """
     n = integer_at_least(n, 1, "n must be a positive integer")
-    if not np.isfinite([min_eig_phi, min_eig_eb]).all():
-        raise ValueError(f"eigenvalues must be finite, got {min_eig_phi!r} and {min_eig_eb!r}")
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (min_eig_phi, min_eig_eb)):
+        raise ValueError(f"eigenvalues must be finite real numbers, got {min_eig_phi!r} and {min_eig_eb!r}")
     if min_eig_eb < 0:
         raise ValueError("the entanglement-breaking eigenvalue floor must be >= 0")
     if min_eig_phi >= 0:
         return 1.0
-    r = (min_eig_eb / abs(min_eig_phi)) ** (1.0 / (n + 1))
-    return r / (1.0 + r)
+    # Python floats: an overflowing ratio reads inf, with no warning; 1 / (n + 1) takes any int n.
+    r = (float(min_eig_eb) / abs(float(min_eig_phi))) ** (1 / (n + 1))
+    return 1.0 if math.isinf(r) else r / (1.0 + r)
 
 
 def depolarizing_pair_positive(q1: float, q2: float) -> bool:

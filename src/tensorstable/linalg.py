@@ -75,10 +75,10 @@ BOUNDARY_TOL = 1e-12
 NEGATIVITY_TOL = 1e-9
 STATE_TRACE_TOL = 1e-12
 STATE_PSD_TOL = 1e-10
-# A threshold search evaluates densely only the maps whose closed-form score is
-# within SCREEN_TOL of the smallest; the closed forms match the dense spectra
-# to about 1e-15, so every exact minimiser passes the screen.
-SCREEN_TOL = 1e-9
+# Searched two-fold-stable maps are pulled SHRINK inside their region, immune to parametrization
+# roundoff; the search refines a witness until its step is at most REFINE_TOL.
+SHRINK = 1e-9
+REFINE_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -102,25 +102,31 @@ class HermitianOperator:
     """Hermitian matrix on ``k`` qubits, of dimension ``2^k``.
 
     ``matrix`` is square array-like, symmetrized to ``(m + m^dag)/2`` at
-    construction; a drift larger than ``1e-10`` or a non-finite entry raises
-    ``ValueError``.
+    construction; a drift larger than ``1e-10``, a non-numeric entry or a
+    non-finite one, in ``m`` or in the mean, raises ``ValueError``.
     """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=np.complex128)
+        try:
+            m = np.array(matrix, dtype=np.complex128)
+        except (TypeError, ValueError):
+            raise ValueError(f"matrix entries must be numbers, got {matrix!r}") from None
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("operator entries must be finite")
         d = m.shape[0]
         if d & (d - 1):
             raise ValueError(f"dimension {d} is not a power of two")
-        drift = np.abs(m - m.conj().T).max() / 2
+        # m + m^dag overflows only for entries near the float maximum; those raise below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = np.abs(m - m.conj().T).max() / 2
+            mean = (m + m.conj().T) / 2
         if drift > HERMITIZE_TOL:
             raise ValueError(f"matrix is not Hermitian (drift {drift:.3g})")
-        self.matrix = (m + m.conj().T) / 2
+        if not np.isfinite(mean).all():
+            raise ValueError("operator entries must be finite, and so must (m + m^dag)/2")
+        self.matrix = mean
 
     @property
     def dim(self) -> int:

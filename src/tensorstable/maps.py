@@ -26,6 +26,7 @@ from .linalg import (
     OracleConfig,
     block_positivity_min,
     hermitian_spectrum,
+    integer_at_least,
     kron,
     partial_transpose,
     psd_verdict,
@@ -192,10 +193,10 @@ def compose(f, g):
 
 def max_entangled_projector(d: int = 2) -> HermitianOperator:
     """Projector onto ``(1/sqrt(d)) sum_i |ii>``, for ``d`` a power of two."""
-    psi = np.zeros(d * d, dtype=np.complex128)
-    for i in range(d):
-        psi[i * d + i] = 1.0
-    psi /= np.sqrt(d)
+    d = integer_at_least(d, 1, "d must be a power of two")
+    if d & (d - 1):
+        raise ValueError(f"d must be a power of two, got {d!r}")
+    psi = np.eye(d, dtype=np.complex128).reshape(-1) / np.sqrt(d)
     return HermitianOperator(np.outer(psi, psi.conj()))
 
 

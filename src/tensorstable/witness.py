@@ -2,21 +2,22 @@
 
 A map certified ``n``-tensor-stable positive that produces a negative
 eigenvalue when applied factor-wise to an ``N``-qubit state pushes the
-state's entanglement depth above ``n``.  :func:`threshold_search` scans a
-family of certified maps for the smallest depolarization weight at which a
+state's entanglement depth above ``n``.  :func:`threshold_search` searches
+the certified maps for the smallest depolarization weight at which a
 canonical state is still detected.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .criteria import as_lambda_point, hyperboloid_point, hyperboloid_slacks, is_3tsp
 from .linalg import (
-    BLOCH_ROTATIONS, NEGATIVITY_TOL, SCREEN_TOL, SIGMA, STATE_PSD_TOL, STATE_TRACE_TOL, HermitianOperator,
-    integer_at_least, rotated_ghz3, symmetric_linspace,
+    BLOCH_ROTATIONS, NEGATIVITY_TOL, REFINE_TOL, SHRINK, SIGMA, STATE_PSD_TOL, STATE_TRACE_TOL,
+    HermitianOperator, integer_at_least, rotated_ghz3,
 )
 from .maps import _power_min_eigs
 
@@ -32,9 +33,6 @@ __all__ = [
 ]
 
 MAX_QUBITS = 6
-# Scanned two-fold-stable maps are pulled this far inside their region, so the
-# exact certification arithmetic is immune to parametrization roundoff.
-SHRINK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,10 +85,10 @@ def build_state(kind: str, q: float, n: int = 3) -> MultiQubitState:
 
     ``kind`` is one of ``"ghz"`` (``n`` qubits), ``"w3"``, ``"psi_plus"``.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    if not (isinstance(q, numbers.Real) and 0.0 <= q <= 1.0):
+        raise ValueError(f"q must be a real number in [0, 1], got {q!r}")
     if kind == "ghz":
-        if not 2 <= n <= MAX_QUBITS:
+        if integer_at_least(n, 2, f"ghz needs 2..{MAX_QUBITS} qubits") > MAX_QUBITS:
             raise ValueError(f"ghz needs 2..{MAX_QUBITS} qubits, got {n}")
         psi, nq = np.zeros(2**n, dtype=np.complex128), n
         psi[0] = psi[-1] = 2**-0.5
@@ -118,12 +116,8 @@ _G = np.round(np.einsum("aij,ujk,bkl,uil->uab", SIGMA[1:], _U, SIGMA[1:], _U.con
 
 def variant_transforms() -> list[np.ndarray]:
     """Distinct signed axis permutations induced by the 16 rotation pairs."""
-    seen = {}
-    for gi in _G:
-        for gj in _G:
-            t = gi @ gj
-            seen[tuple(np.round(t.reshape(-1)).astype(int))] = t
-    return list(seen.values())
+    # The products' entries are exact, with no -0.0, so equal maps have equal bytes.
+    return list({t.tobytes(): t for t in (_G[:, None] @ _G).reshape(-1, 3, 3)}.values())
 
 
 def ghz_variants() -> list[MultiQubitState]:
@@ -132,12 +126,15 @@ def ghz_variants() -> list[MultiQubitState]:
 
 
 def _certified(lams: np.ndarray, n: int) -> np.ndarray:
+    # Every n-TSP map is positive; testing that first keeps the slacks finite.
+    positive = np.max(np.abs(lams), axis=1) <= 1.0
+    inside = np.where(positive[:, None], lams, 0.0)
     if n == 1:
-        return np.max(np.abs(lams), axis=1) <= 1.0
+        return positive
     if n == 2:
-        return np.min(hyperboloid_slacks(lams), axis=1) >= 0
+        return positive & (np.min(hyperboloid_slacks(inside), axis=1) >= 0)
     if n == 3:
-        return np.array([is_3tsp(p).satisfied for p in lams], dtype=bool)
+        return positive & np.array([is_3tsp(p).satisfied for p in inside], dtype=bool)
     raise ValueError("certification is available for n in {1, 2, 3}")
 
 
@@ -148,6 +145,8 @@ def depth_witness(state: MultiQubitState, lam, n: int) -> DepthVerdict:
     least ``n + 1``; otherwise the verdict is inconclusive (bound 1).
     The map must pass the strongest closed-form certificate for ``n``.
     """
+    if not isinstance(state, MultiQubitState):
+        raise ValueError(f"state must be a MultiQubitState, got {type(state).__name__}")
     n = integer_at_least(n, 1, "n must be a positive integer")
     lam = as_lambda_point(lam)
     if not _certified(lam[None], n)[0]:
@@ -155,29 +154,6 @@ def depth_witness(state: MultiQubitState, lam, n: int) -> DepthVerdict:
     neg = _power_min_eigs(np.insert(lam, 0, 1.0)[None], state.rho.matrix)[0]
     bound = n + 1 if neg < -NEGATIVITY_TOL else 1
     return DepthVerdict(lower_bound=bound, witness_map=lam, neg_eig=float(neg))
-
-
-def _scan_maps_n1(steps: int) -> np.ndarray:
-    grid = symmetric_linspace(-1.0, 1.0, steps)
-    face = np.stack(np.meshgrid([-1.0, 1.0], grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
-    # Cube faces in (axis, sign, a, b) order: roll[axis, j] is the column of
-    # (sign, a, b) that lands on axis j.
-    roll = (np.arange(3) - np.arange(3)[:, None]) % 3
-    return face[:, roll].transpose(1, 0, 2).reshape(-1, 3)
-
-
-def _scan_maps_n2(steps: int) -> np.ndarray:
-    grid = np.linspace(0.0, 1.0, steps)
-    base = hyperboloid_point(*np.meshgrid(grid, grid, indexing="ij")).reshape(-1, 3)
-    pts = np.einsum("tij,pj->pti", np.array(variant_transforms()), base)
-    return pts.reshape(-1, 3) * (1.0 - SHRINK)
-
-
-def _dedupe(pts: np.ndarray) -> np.ndarray:
-    """Rows unique up to rounding at 1e-12 (``-0.0`` equal to ``0.0``), in order of
-    first occurrence, each holding the value of its last occurrence."""
-    rows = {tuple(np.round(p, 12)): p for p in pts}
-    return np.array(list(rows.values()))
 
 
 def _ghz_min_eigs(lams: np.ndarray) -> np.ndarray:
@@ -199,59 +175,72 @@ def _w_min_eigs(lams: np.ndarray) -> np.ndarray:
     """
     l1, l2, l3 = lams.T
     u, v = l1**2 + l2**2, l1**2 - l2**2
-    sectors = []
-    for z in (l3, -l3):
-        a = 1 + z / 3 + 4 * u / 3 + z**2 / 3 + 4 * u * z / 3 + z**3
-        c = (1 - z) ** 2 * (1 + z)
-        b = 2 / np.sqrt(3) * v * (1 - z)
-        s = 1 + z / 3 - 2 * u / 3 + z**2 / 3 - 2 * u * z / 3 + z**3
-        sectors.append(np.minimum((a + c) / 2 - np.hypot((a - c) / 2, b), s))
-    return np.minimum(*sectors) / 8
+    z = np.stack([l3, -l3])  # both sectors in one pass
+    a = 1 + z / 3 + 4 * u / 3 + z**2 / 3 + 4 * u * z / 3 + z**3
+    c = (1 - z) ** 2 * (1 + z)
+    b = 2 / np.sqrt(3) * v * (1 - z)
+    s = 1 + z / 3 - 2 * u / 3 + z**2 / 3 - 2 * u * z / 3 + z**3
+    return np.minimum((a + c) / 2 - np.hypot((a - c) / 2, b), s).min(axis=0) / 8
 
 
-def threshold_search(family: str, n: int, steps: int = 21) -> ThresholdResult:
+# The certified set's boundary as patches A_t @ p(u, v), (u, v) in [lo, 1]^2: the six
+# cube faces, p = (1, u, v) under each axis roll and sign; the hyperboloid point
+# pulled inside by SHRINK, under the ten variant transforms.
+_PATCHES = {
+    1: (-1.0, np.array([np.roll(np.eye(3), a, axis=0) * (s, 1, 1) for a in range(3) for s in (-1, 1)]),
+        lambda uv: np.column_stack([np.ones(len(uv)), uv])),
+    2: (0.0, np.array(variant_transforms()), lambda uv: hyperboloid_point(uv[:, 0], uv[:, 1]) * (1.0 - SHRINK)),
+}
+# Seed points per patch axis; a 9x9 stencil of steps that shrink by 8, so each spans the last's centre cell.
+_SEEDS = 11
+_STENCIL = np.stack(np.meshgrid(np.arange(-4.0, 5.0), np.arange(-4.0, 5.0), indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _boundary_argmin(score, n: int) -> np.ndarray:
+    """Boundary point of the ``n``-certified set with the smallest ``score``: the best
+    seed over all patches, refined on its patch by moving to the best stencil point
+    below the centre, else shrinking the step, until the step is at most
+    ``REFINE_TOL``.  Ties keep the centre, so an exact seed stays exact."""
+    lo, transforms, points = _PATCHES[n]
+    grid = np.linspace(lo, 1.0, _SEEDS)
+    uv = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    t, k = divmod(int(np.argmin(score((points(uv) @ transforms.transpose(0, 2, 1)).reshape(-1, 3)))), len(uv))
+    centre, step, a_t = uv[k], grid[1] - grid[0], transforms[t].T
+    while step > REFINE_TOL:
+        trial = np.clip(centre + step * _STENCIL, lo, 1.0)
+        values = score(points(trial) @ a_t)
+        best = int(np.argmin(values))
+        if values[best] < values[len(_STENCIL) // 2]:
+            centre = trial[best]
+        else:
+            step /= 8
+    return (points(centre[None]) @ a_t)[0]
+
+
+def threshold_search(family: str, n: int) -> ThresholdResult:
     """Smallest noise weight at which some certified map detects the state.
 
     ``family`` is ``"ghz"`` or ``"w"`` (three-qubit state mixed with white
     noise at weight ``1 - q``); ``n`` in ``{1, 2}`` selects the certificate
-    the scanned maps must carry, and ``steps``, an integer of at least 2, the
-    resolution of their parameter grid.  The maps are unital and trace preserving,
+    the searched maps must carry.  The maps are unital and trace preserving,
     so a map whose output on the pure state has smallest eigenvalue ``m``
     outputs ``q m + (1 - q) / 8`` on the noisy one, and detects it exactly
     for ``q > (1/8 + NEGATIVITY_TOL) / (1/8 - m)``.  That onset grows with
     ``m``, so the map with the smallest ``m`` gives ``q_star`` in closed
-    form.  When no scanned map detects even the pure state the result is
+    form.  When that map does not detect even the pure state the result is
     ``q_star = 1.0`` with an empty witness.
 
-    Every certified map is first scored by the closed-form spectrum of its
-    output (:func:`_ghz_min_eigs`, :func:`_w_min_eigs`).  Only the maps within
-    ``SCREEN_TOL`` of the smallest score are deduped (:func:`_dedupe`), then
-    built and diagonalised; the dense routine gives each row the same bits
-    whatever rows share its batch.  The result is bit-identical to deduping the
-    whole scan and evaluating every certified map densely: (1) duplicates are
-    certified alike, since their values (``n = 1``) or hyperboloid slacks
-    (``n = 2``) are permuted; (2) the closed forms agree with the dense
-    eigenvalues to about ``1e-15`` and duplicates differ by under ``1e-12``,
-    both far inside ``SCREEN_TOL``, so every minimiser and all its duplicates
-    pass the screen; (3) both filters keep scan order, so the argmin picks the
-    same first position holding the same last value.
+    The search minimises the closed-form output spectra; only the witness it
+    finds is diagonalised densely, for ``neg_eig``.
     """
     if family not in ("ghz", "w"):
         raise ValueError(f"unknown state family {family!r}")
     n = integer_at_least(n, 1, "n must be a positive integer")
     if n not in (1, 2):
         raise ValueError(f"threshold search supports n in {{1, 2}}, got {n}")
-    steps = integer_at_least(steps, 2, "a grid needs an integer of at least 2 steps")
-
-    lams = _scan_maps_n1(steps) if n == 1 else _scan_maps_n2(steps)
-    lams = lams[_certified(lams, n)]
-    score = _ghz_min_eigs(lams) if family == "ghz" else _w_min_eigs(lams)
-    lams = _dedupe(lams[score <= score.min() + SCREEN_TOL])
+    lam = _boundary_argmin(_ghz_min_eigs if family == "ghz" else _w_min_eigs, n)
     pure = build_state("ghz" if family == "ghz" else "w3", 1.0).rho.matrix
-    m_min = _power_min_eigs(np.insert(lams, 0, 1.0, axis=1), pure)
-    best = int(np.argmin(m_min))
-    m = float(m_min[best])
+    m = float(_power_min_eigs(np.insert(lam, 0, 1.0)[None], pure)[0])
     if m >= -NEGATIVITY_TOL:
         return ThresholdResult(q_star=1.0, witness=None, neg_eig=m)
-    q_star = (0.125 + NEGATIVITY_TOL) / (0.125 - m)
-    return ThresholdResult(q_star=q_star, witness=lams[best], neg_eig=m)
+    return ThresholdResult(q_star=(0.125 + NEGATIVITY_TOL) / (0.125 - m), witness=lam, neg_eig=m)

@@ -229,7 +229,7 @@ def test_8_witness_thresholds():
     got = []
     for family, n, printed in targets:
         t0 = time.time()
-        res = threshold_search(family, n, steps=21)
+        res = threshold_search(family, n)
         elapsed = time.time() - t0
         assert elapsed < 120.0
         assert res.q_star == pytest.approx(printed, abs=0.02)

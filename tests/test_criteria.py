@@ -350,6 +350,20 @@ class TestMuBound:
         with pytest.raises(ValueError):
             mu_bound(-0.1, -0.1, 2)
 
+    @pytest.mark.parametrize("phi, eb", [(-0.1, 1e308), (-5e-324, 1.0), (np.float64(-1e-10), np.float64(1e308))])
+    def test_infinite_ratio_gives_the_limit_one(self, phi, eb):
+        # r = inf used to give inf / (1 + inf) = nan.
+        assert mu_bound(phi, eb, 2) == 1.0
+
+    def test_finite_ratio_keeps_its_bits(self):
+        for phi, eb, n in [(-0.5, 0.2, 2), (-1e-300, 1e-10, 1), (-3.0, 1e300, 4), (-0.7, 0.3, 2**52)]:
+            r = (eb / abs(phi)) ** (1.0 / (n + 1))
+            assert mu_bound(phi, eb, n) == r / (1.0 + r)
+
+    def test_huge_n_gives_the_limit_one_half(self):
+        # 1.0 / (n + 1) raised OverflowError: int too large to convert to float.
+        assert mu_bound(-0.5, 0.2, 10**400) == 0.5
+
 
 class TestDepolarizingPair:
     def test_boundary(self):
@@ -400,17 +414,19 @@ class TestHyperboloidPoint:
         (lambda: mu_bound(-0.5, 0.1, -1), "n must be a positive integer, got -1"),
         (lambda: mu_bound(np.nan, 0.1, 2), "eigenvalues must be finite"),
         (lambda: mu_bound(-0.5, np.inf, 2), "eigenvalues must be finite"),
+        (lambda: mu_bound("x", 0.1, 2), "eigenvalues must be finite real numbers, got 'x' and 0.1"),
         (lambda: ntsp_necessary((0.5, 0.5, 0.5), 2.5), "n must be a positive integer, got 2.5"),
         (lambda: ntsp_sufficient_ball((0.2, 0.2, 0.2), 2.5), "the power-sum ball needs n >= 2, got 2.5"),
         (lambda: lift_x_max((1, 0, 1), 1.5), "n must be a positive integer, got 1.5"),
         (lambda: lift_ntsp((1, 0, 1), 1.5), "n must be a positive integer, got 1.5"),
         (lambda: as_lambda_point((0.5, 0.5)), "a lambda point has exactly three components"),
         (lambda: as_lambda_point((0.5, np.nan, 0.5)), r"lambda values must be finite, got \[0.5 nan 0.5\]"),
+        (lambda: as_lambda_point("x"), "lambda values must be numbers, got 'x'"),
         (lambda: lift_x_max((1, 0, 1), 0), "n must be a positive integer, got 0"),
     ],
     ids=[
-        "mu_bound-n", "mu_bound-nan", "mu_bound-inf", "necessary-n", "ball-n", "lift_x_max-n", "lift_ntsp-n",
-        "lambda-shape", "lambda-nan", "lift_x_max-n-below-1",
+        "mu_bound-n", "mu_bound-nan", "mu_bound-inf", "mu_bound-str", "necessary-n", "ball-n", "lift_x_max-n", "lift_ntsp-n",
+        "lambda-shape", "lambda-nan", "lambda-str", "lift_x_max-n-below-1",
     ],
 )
 def test_input_checks(call, match):

@@ -75,6 +75,33 @@ class TestHermitianOperator:
         h = HermitianOperator(m)
         assert np.abs(h.matrix - h.matrix.conj().T).max() == 0
 
+    @pytest.mark.parametrize(
+        "m", [np.diag([1.0, 1e308]), [[0.0, 1e308], [1e308, 0.0]]], ids=["diagonal", "off-diagonal"]
+    )
+    def test_entries_whose_mean_overflows_are_rejected(self, m):
+        # (m + m^dag)/2 used to store inf+nanj, with two RuntimeWarnings, and min_eig() read nan.
+        with pytest.raises(ValueError, match=r"must be finite, and so must \(m \+ m\^dag\)/2"):
+            HermitianOperator(m)
+
+    def test_entries_whose_mean_fits_are_kept(self):
+        h = HermitianOperator(np.diag([1.0, 8e307]))
+        assert h.matrix.tobytes() == np.diag([1.0, 8e307]).astype(complex).tobytes()
+        assert h.min_eig() == 1.0
+
+    @pytest.mark.parametrize(
+        "m",
+        [[[0.0, 1e308], [-1e308, 0.0]], [[0.0, 1.7e308 + 1.7e308j], [-1.7e308 - 1.7e308j, 0.0]]],
+        ids=["real", "complex"],
+    )
+    def test_huge_drift_is_not_hermitian(self, m):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianOperator(m)
+
+    @pytest.mark.parametrize("m", [[["x", 0], [0, 1]], {}, "x"])
+    def test_rejects_non_numeric_entries(self, m):
+        with pytest.raises(ValueError, match="matrix entries must be numbers"):
+            HermitianOperator(m)
+
 
 class TestPartialTranspose:
     def test_max_entangled(self):

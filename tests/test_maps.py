@@ -755,10 +755,14 @@ def test_zero_qubit_coefficients_are_rejected():
         (lambda: map_from_json('{"lambda": [1.0, 0.5]}'), "lambda must have three or four components"),
         (lambda: map_from_json('{"lambda": [0.5, 0.5, 0.5], "t": [0.0, 0.1]}'), "t must have three components"),
         (lambda: map_from_json('{"lambda": [0.9, 0.5, 0.5, 0.5], "t": 0.1}'), "translated maps must have l0 = 1"),
+        (lambda: max_entangled_projector(2.0), "d must be a power of two, got 2.0"),
+        (lambda: max_entangled_projector(3), "d must be a power of two, got 3"),
+        (lambda: max_entangled_projector("2"), "d must be a power of two, got '2'"),
     ],
     ids=[
         "pauli-map-length", "general-map-shape", "translation-lengths", "choi-empty", "map-from-choi-shape",
         "tensor-apply-input", "diagonal-apply-shape", "json-lambda-length", "json-t-length", "json-l0-with-t",
+        "projector-float-d", "projector-d-not-power-of-two", "projector-str-d",
     ],
 )
 def test_input_checks(call, match):

@@ -1,27 +1,17 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import tensorstable
 from tensorstable import witness
 from tensorstable.criteria import hyperboloid_point, is_2tsp, is_3tsp
-from tensorstable.linalg import BLOCH_ROTATIONS, HermitianOperator, kron, symmetric_linspace
+from tensorstable.linalg import BLOCH_ROTATIONS, HermitianOperator, kron
 from tensorstable.maps import PauliMap, _power_min_eigs, tensor_apply
 from tensorstable.witness import (
     NEGATIVITY_TOL,
     SHRINK,
     MultiQubitState,
-    ThresholdResult,
     _certified,
-    _dedupe,
     _ghz_min_eigs,
-    _scan_maps_n1,
-    _scan_maps_n2,
     _w_min_eigs,
     build_state,
     depth_witness,
@@ -161,49 +151,95 @@ class TestDepthWitness:
             assert depth_witness(state, lam1, n=1).lower_bound == 1
 
 
+# The exact detection onsets: at n = 1 the cube-edge points (-1, -1, 0) for GHZ
+# and (-1, 0, +-1) for W, whose smallest output eigenvalues are -3/8 and
+# -1/(2 sqrt 3); at n = 2 for GHZ the hyperboloid point (-1/sqrt 2, 1/sqrt 2, 0)
+# up to variants, pulled inside by SHRINK; W at n = 2 has no closed form here.
+EXACT_Q_STAR = {
+    ("ghz", 1): ((1 / 8 + NEGATIVITY_TOL) / (1 / 2), 1e-15),
+    ("w", 1): ((1 / 8 + NEGATIVITY_TOL) / (1 / 8 + 1 / (2 * np.sqrt(3))), 1e-15),
+    ("ghz", 2): ((1 + 8 * NEGATIVITY_TOL) / (np.sqrt(2) * (1 - SHRINK) ** 3), 1e-12),
+    ("w", 2): (0.85201755966325, 1e-12),
+}
+SEARCHES = [("ghz", 1), ("ghz", 2), ("w", 1), ("w", 2)]
+SEARCH_IDS = [f"{family}-{n}" for family, n in SEARCHES]
+SCORE = {"ghz": _ghz_min_eigs, "w": _w_min_eigs}
+
+
+def _boundary_grid(n, steps):
+    """The certified set's boundary on a ``steps``-point grid per patch axis:
+    the six cube faces for n = 1, the pulled-in hyperboloid under every
+    variant transform for n = 2; one ``(m, 3)`` stack per face or transform."""
+    if n == 1:
+        g = np.linspace(-1.0, 1.0, steps)
+        a, b = (x.reshape(-1) for x in np.meshgrid(g, g, indexing="ij"))
+        for axis in range(3):
+            for sign in (-1.0, 1.0):
+                face = np.empty((len(a), 3))
+                face[:, axis], face[:, (axis + 1) % 3], face[:, (axis + 2) % 3] = sign, a, b
+                yield face
+    else:
+        g = np.linspace(0.0, 1.0, steps)
+        base = hyperboloid_point(*np.meshgrid(g, g, indexing="ij")).reshape(-1, 3) * (1.0 - SHRINK)
+        for t in variant_transforms():
+            yield base @ t.T
+
+
 class TestThresholdSearch:
     def test_deeper_detection_needs_more_purity(self):
-        r1 = threshold_search("ghz", 1, steps=11)
-        r2 = threshold_search("ghz", 2, steps=11)
+        r1 = threshold_search("ghz", 1)
+        r2 = threshold_search("ghz", 2)
         assert r1.q_star <= r2.q_star
         assert r1.witness is not None and r2.witness is not None
 
     def test_witness_is_certified_and_detects(self):
-        res = threshold_search("ghz", 2, steps=11)
+        res = threshold_search("ghz", 2)
         assert is_2tsp(res.witness).satisfied
         state = build_state("ghz", min(res.q_star + 5e-3, 1.0))
         v = depth_witness(state, res.witness, n=2)
         assert v.lower_bound == 3
 
-    STEPS_21_Q_STAR = {
-        ("ghz", 1): 0.25000000199999994,
-        ("ghz", 2): 0.7077275838855227,
-        ("w", 1): 0.30216948166931806,
-        ("w", 2): 0.8520305047755674,
-    }
-
-    # The steps=21 scans' witnesses; the n = 2 maps are hyperboloid points
-    # (21/29, 20/29, 0) up to axis order and sign, pulled inside by 1e-9.
-    @pytest.mark.parametrize(
-        "family, n, witness",
-        [
-            ("ghz", 1, (-1.0, -1.0, 0.0)),
-            ("ghz", 2, (-21 / 29, 20 / 29, 0.0)),
-            ("w", 1, (-1.0, 0.0, 1.0)),
-            ("w", 2, (20 / 29, 0.0, 21 / 29)),
-        ],
-    )
-    def test_exact_onset(self, family, n, witness):
-        res = threshold_search(family, n, steps=21)
-        shrink = 1.0 if n == 1 else 1.0 - 1e-9
-        assert_allclose(res.witness, np.array(witness) * shrink, rtol=0, atol=1e-15)
-        assert res.q_star == self.STEPS_21_Q_STAR[family, n]
+    @pytest.mark.parametrize("family, n", SEARCHES, ids=SEARCH_IDS)
+    def test_exact_onset(self, family, n):
+        res = threshold_search(family, n)
+        exact, tol = EXACT_Q_STAR[family, n]
+        assert abs(res.q_star - exact) <= tol
         assert res.q_star == (1 / 8 + NEGATIVITY_TOL) / (1 / 8 - res.neg_eig)
         kind = "ghz" if family == "ghz" else "w3"
         above = depth_witness(build_state(kind, res.q_star * (1 + 1e-6)), res.witness, n)
         below = depth_witness(build_state(kind, res.q_star * (1 - 1e-6)), res.witness, n)
         assert above.lower_bound == n + 1
         assert below.lower_bound == 1
+
+    @pytest.mark.parametrize(
+        "family, witness_map", [("ghz", (-1.0, -1.0, 0.0)), ("w", (-1.0, 0.0, -1.0))], ids=["ghz", "w"]
+    )
+    def test_seed_that_is_exact_stays_exact(self, family, witness_map):
+        # The n = 1 minimisers lie on the seed grid; stencil ties keep them there.
+        assert threshold_search(family, 1).witness.tobytes() == np.array(witness_map).tobytes()
+
+    @pytest.mark.parametrize("family, n", SEARCHES, ids=SEARCH_IDS)
+    def test_witness_is_certified_and_scores_its_dense_eigenvalue(self, family, n):
+        res = threshold_search(family, n)
+        assert _certified(res.witness[None], n)[0]
+        assert abs(res.neg_eig - SCORE[family](res.witness[None])[0]) <= 1e-14
+
+    @pytest.mark.parametrize("family, n", SEARCHES, ids=SEARCH_IDS)
+    def test_no_boundary_grid_point_scores_lower(self, family, n):
+        # 201^2 points per cube face for n = 1; 401^2 per variant transform for n = 2.
+        res = threshold_search(family, n)
+        best = SCORE[family](res.witness[None])[0]
+        for patch in _boundary_grid(n, 201 if n == 1 else 401):
+            assert _certified(patch, n).all()
+            assert SCORE[family](patch).min() >= best - 1e-12
+
+    @pytest.mark.parametrize("family, n", SEARCHES, ids=SEARCH_IDS)
+    def test_onset_is_stable_under_seed_grid_and_stop_tolerance(self, family, n, monkeypatch):
+        q_star = threshold_search(family, n).q_star
+        for seeds, tol in [(21, witness.REFINE_TOL), (41, witness.REFINE_TOL), (11, 1e-9), (11, 1e-11)]:
+            monkeypatch.setattr(witness, "_SEEDS", seeds)
+            monkeypatch.setattr(witness, "REFINE_TOL", tol)
+            assert abs(threshold_search(family, n).q_star - q_star) <= 1e-9
 
     def test_rejects_unknown_family(self):
         for family in ("cluster", "ghzDepol", "W"):
@@ -214,57 +250,13 @@ class TestThresholdSearch:
         with pytest.raises(ValueError, match="n in"):
             threshold_search("ghz", 3)
 
-    def test_no_witness_found(self):
-        # a two-step boundary grid only produces unitary-conjugation maps,
-        # which never detect anything
-        res = threshold_search("ghz", 2, steps=2)
+    def test_no_witness_found(self, monkeypatch):
+        # A witness whose output on the pure state is PSD detects nothing.
+        monkeypatch.setattr(witness, "_power_min_eigs", lambda lams, rho: np.zeros(len(lams)))
+        res = threshold_search("ghz", 2)
         assert res.q_star == 1.0
         assert res.witness is None
-        assert res.neg_eig >= -NEGATIVITY_TOL
-
-    @pytest.mark.parametrize("steps", [1, 0, -3])
-    def test_rejects_fewer_than_two_steps(self, steps):
-        with pytest.raises(ValueError, match="steps"):
-            threshold_search("ghz", 2, steps=steps)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_rejects_non_integer_steps(self, n):
-        # n = 1 at 2.5 steps used to scan past the cube and return q_star = 0.273.
-        with pytest.raises(ValueError, match="integer of at least 2"):
-            threshold_search("ghz", n, steps=2.5)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_numpy_integer_steps(self, n):
-        assert threshold_search("ghz", n, steps=np.int64(7)).q_star == threshold_search("ghz", n, steps=7).q_star
-
-    def test_peak_memory_stays_bounded_at_fine_steps(self):
-        # 157,464 scanned rows at steps 81; the import alone takes about 30 MB.
-        # A fresh interpreter reports its own peak as VmHWM (in kB). Its ru_maxrss
-        # would not do: on Linux a forked child starts from its parent's peak.
-        code = (
-            "import os; from tensorstable.witness import threshold_search; "
-            "threshold_search('w', 2, steps=81); "
-            "status = open('/proc/self/status').read() if os.path.exists('/proc/self/status') else ''; "
-            "print(*[line.split()[1] for line in status.splitlines() if line.startswith('VmHWM:')])"
-        )
-        env = {**os.environ, "PYTHONPATH": str(Path(tensorstable.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        if not proc.stdout.strip():
-            pytest.skip("no VmHWM in /proc/self/status")
-        assert int(proc.stdout) / 1024 < 100
-
-    def test_screen_passes_few_rows_to_dense_evaluation(self, monkeypatch):
-        # The steps=81 scan certifies 157,464 rows; only the few the closed-form
-        # screen keeps may reach the dense eigenvalue routine.
-        rows = []
-
-        def counted(lams, rho):
-            rows.append(len(lams))
-            return _power_min_eigs(lams, rho)
-
-        monkeypatch.setattr("tensorstable.witness._power_min_eigs", counted)
-        threshold_search("w", 2, steps=81)
-        assert 0 < sum(rows) < 100
+        assert res.neg_eig == 0.0
 
 
 def _edge_rows(rng):
@@ -295,88 +287,7 @@ class TestClosedFormSpectra:
         assert np.abs(closed_form(lams) - dense).max() <= 1e-12
 
 
-def _threshold_search_dense(family, n, steps):
-    """Reference for threshold_search: the whole scan deduped, then every
-    certified map evaluated densely."""
-    lams = _dedupe_loop(_scan_maps_n1(steps) if n == 1 else _scan_maps_n2(steps))
-    lams = lams[_certified(lams, n)]
-    pure = build_state("ghz" if family == "ghz" else "w3", 1.0).rho.matrix
-    m_min = _power_min_eigs(np.insert(lams, 0, 1.0, axis=1), pure)
-    best = int(np.argmin(m_min))
-    m = float(m_min[best])
-    if m >= -NEGATIVITY_TOL:
-        return ThresholdResult(q_star=1.0, witness=None, neg_eig=m)
-    return ThresholdResult(q_star=(0.125 + NEGATIVITY_TOL) / (0.125 - m), witness=lams[best], neg_eig=m)
-
-
-# Steps 7 needs the survivors deduped; at steps 50 symmetric_linspace's ends are not exactly +-1.
-@pytest.mark.parametrize("steps", [2, 3, 5, 7, 11, 21, 50])
-@pytest.mark.parametrize("family, n", [("ghz", 1), ("ghz", 2), ("w", 1), ("w", 2)])
-def test_screen_equals_dense_search_bytewise(family, n, steps):
-    got, want = threshold_search(family, n, steps=steps), _threshold_search_dense(family, n, steps)
-    assert np.float64(got.q_star).tobytes() == np.float64(want.q_star).tobytes()
-    assert np.float64(got.neg_eig).tobytes() == np.float64(want.neg_eig).tobytes()
-    if want.witness is None:
-        assert got.witness is None
-    else:
-        assert got.witness.tobytes() == want.witness.tobytes()
-
-
-# Loop versions of the scan builders and of the dedupe: the reference the
-# array builders and threshold_search must reproduce byte for byte.
-def _dedupe_loop(pts):
-    seen = {}
-    for p in pts:
-        seen[tuple(np.round(p, 12))] = p
-    return np.array(list(seen.values()))
-
-
-def _scan_maps_n1_loop(steps):
-    grid = symmetric_linspace(-1.0, 1.0, steps)
-    pts = []
-    for axis in range(3):
-        for sign in (-1.0, 1.0):
-            for a in grid:
-                for b in grid:
-                    lam = np.empty(3)
-                    lam[axis] = sign
-                    lam[(axis + 1) % 3] = a
-                    lam[(axis + 2) % 3] = b
-                    pts.append(lam)
-    return np.array(pts)
-
-
-def _scan_maps_n2_loop(steps):
-    grid = np.linspace(0.0, 1.0, steps)
-    transforms = variant_transforms()
-    pts = []
-    for x in grid:
-        for y in grid:
-            base = hyperboloid_point(x, y)
-            for t in transforms:
-                pts.append((t @ base) * (1.0 - SHRINK))
-    return np.array(pts)
-
-
 class TestScanArrays:
-    @pytest.mark.parametrize("steps", [2, 5, 11, 21])
-    @pytest.mark.parametrize(
-        "build, reference",
-        [(_scan_maps_n1, _scan_maps_n1_loop), (_scan_maps_n2, _scan_maps_n2_loop)],
-    )
-    def test_builders_equal_loops_bytewise(self, steps, build, reference):
-        got, want = build(steps), reference(steps)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    def test_dedupe_keeps_first_position_and_last_value(self):
-        pts = np.array(
-            [[0.0, 1.0, 2.0], [0.5, 0.5, 0.5], [-0.0, 1.0, 2.0 + 1e-14], [0.5, 0.5, 0.5 - 1e-15]]
-        )
-        got = _dedupe(pts)
-        assert got.tobytes() == _dedupe_loop(pts).tobytes()
-        assert got.tobytes() == pts[[2, 3]].tobytes()
-
     def test_certified_matches_per_row_criteria(self):
         x = hyperboloid_point(0.3, 0.7)  # the middle slack is exactly 0
         stack = np.concatenate(
@@ -385,11 +296,13 @@ class TestScanArrays:
                 [x, -x, x[[1, 0, 2]], x[[2, 1, 0]], x * (1 + 1e-9), x * (1 - 1e-9)],
                 [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, -0.0], [-0.0, 0.0, -0.0]],
                 [[-1.0, -0.0, 1.0], [1.0, 1.0 + 1e-15, 0.0], [0.6, 0.8, 0.0], [1.0, 0.0, -1.0]],
+                [[0.0, 0.0, 2.0], [1e308, 0.0, 0.0], [-1e308, 1e308, 0.5]],
             ]
         )
-        assert _certified(stack, 1).tolist() == [bool(np.abs(p).max() <= 1.0) for p in stack]
-        assert _certified(stack, 2).tolist() == [bool(is_2tsp(p).satisfied) for p in stack]
-        assert _certified(stack, 3).tolist() == [bool(is_3tsp(p).satisfied) for p in stack]
+        positive = [bool(np.abs(p).max() <= 1.0) for p in stack]
+        assert _certified(stack, 1).tolist() == positive
+        assert _certified(stack, 2).tolist() == [ok and is_2tsp(p).satisfied for p, ok in zip(stack, positive)]
+        assert _certified(stack, 3).tolist() == [ok and is_3tsp(p).satisfied for p, ok in zip(stack, positive)]
         assert _certified(stack, 2).any() and not _certified(stack, 2).all()
 
 
@@ -401,9 +314,17 @@ class TestScanArrays:
         (lambda: build_state("ghz", 0.5, 1), r"ghz needs 2\.\.6 qubits, got 1"),
         (lambda: build_state("ghz", 0.5, 7), r"ghz needs 2\.\.6 qubits, got 7"),
         (lambda: depth_witness(build_state("ghz", 1.0, 3), (0.4, 0.4, -0.4), 2.0), "n must be a positive integer, got 2.0"),
-        (lambda: threshold_search("ghz", 1.0, steps=5), "n must be a positive integer, got 1.0"),
+        (lambda: threshold_search("ghz", 1.0), "n must be a positive integer, got 1.0"),
+        (lambda: build_state("ghz", 0.5, 3.0), r"ghz needs 2\.\.6 qubits, got 3\.0"),
+        (lambda: build_state("ghz", "x"), "q must be a real number in \\[0, 1\\], got 'x'"),
+        (lambda: build_state("ghz", float("nan")), "q must be a real number in \\[0, 1\\], got nan"),
+        (lambda: depth_witness("x", (0.4, 0.4, -0.4), 1), "state must be a MultiQubitState, got str"),
+        (lambda: depth_witness(build_state("ghz", 1.0, 3), (1e308, 0.0, 0.0), 3), "not certified"),
     ],
-    ids=["too-many-qubits", "not-psd", "ghz-n-below-2", "ghz-n-above-6", "depth-witness-float-n", "threshold-float-n"],
+    ids=[
+        "too-many-qubits", "not-psd", "ghz-n-below-2", "ghz-n-above-6", "depth-witness-float-n", "threshold-float-n",
+        "ghz-float-n", "string-q", "nan-q", "depth-witness-state", "depth-witness-huge-lambda",
+    ],
 )
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
