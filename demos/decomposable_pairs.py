@@ -12,7 +12,7 @@ import numpy as np
 from tensorstable import classify, decomposability_fixtures, is_2tsp
 from tensorstable.oracles import ex2_family
 
-rep = decomposability_fixtures(mu=0.1)
+rep = decomposability_fixtures()
 
 print("first decomposition")
 print(f"  two-qubit factor map F: smallest Choi eigenvalue {rep.ex1_choi_min_eig:+.2e} (CP)")

@@ -63,9 +63,7 @@ def _write(text: str, args) -> None:
 
 
 def _json_default(obj):
-    # np.float64 subclasses float and encodes as one; the other numpy scalars do not.
-    if isinstance(obj, (np.bool_, np.integer)):
-        return obj.item()
+    # np.float64 subclasses float and encodes as one; verdicts are Python bools.
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     # Reports and criterion verdicts encode as their fields; the encoder recurses.
@@ -190,7 +188,7 @@ def _cmd_verify(args) -> dict:
 def _cmd_lift(args) -> dict:
     lam = _bloch_scalings(args.lam)
     xm = lift_x_max(lam, args.n)
-    lifted = lift_ntsp(lam, args.n, x=args.x)
+    lifted = lift_ntsp(lam, args.n)
     return {"lambda": lam, "n": args.n, "x_max": xm, "lambda_tilde": lifted}
 
 
@@ -246,7 +244,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("lift", help="shrink an n-stable map into an (n+1)-stable one")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", type=_finite_float, default=None, help="mixing parameter (default x_max)")
     common(p, _cmd_lift)
 
     p = sub.add_parser("reduce", help="reduce a translated family map to unital form")

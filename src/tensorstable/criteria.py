@@ -3,21 +3,21 @@
 A map is given by its Bloch scalings ``(l1, l2, l3)`` with ``l0 = 1``
 (:data:`LambdaPoint` below).  All criteria are evaluated with exact float
 arithmetic on the inputs, the one-point ones on Python floats; numerical
-tolerances live only in the linalg module.
+tolerances live only in the linalg module.  Overflow raises instead of reading
+``inf``: ``FloatingPointError``, ``OverflowError`` or ``squared_map_choi``'s ``ValueError``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import HermitianOperator, integer_at_least
+from .linalg import HermitianOperator, _finite_real, integer_at_least
 
 __all__ = [
     "CriterionVerdict",
@@ -116,7 +116,8 @@ def squared_map_choi(lam: LambdaPoint) -> HermitianOperator:
     Equals the doubled map applied to the maximally entangled projector:
     diagonal ``(1 +- l3^2)/4``, antidiagonal corners ``(l1^2 +- l2^2)/4``.
     """
-    l1, l2, l3 = as_lambda_point(lam)
+    # Python floats overflow with no warning, and HermitianOperator rejects the entries.
+    l1, l2, l3 = as_lambda_point(lam).tolist()
     a, b, c = l1 * l1, l2 * l2, l3 * l3
     m = np.array(
         [
@@ -137,8 +138,9 @@ def squared_map_choi_eigs(lam: LambdaPoint) -> np.ndarray:
     :func:`is_2tsp` exactly (same float expressions, no tolerance).
     """
     p = as_lambda_point(lam)
-    a, b, c = p * p
-    eigs = np.concatenate([hyperboloid_slacks(p), [(1.0 + c) + (a + b)]]) / 4.0
+    with np.errstate(over="raise", invalid="raise"):
+        a, b, c = p * p
+        eigs = np.concatenate([hyperboloid_slacks(p), [(1.0 + c) + (a + b)]]) / 4.0
     eigs.sort()
     return eigs
 
@@ -214,7 +216,11 @@ def ntsp_sufficient_ball(lam: LambdaPoint, n: int) -> bool:
     """
     n = integer_at_least(n, 2, "the power-sum ball needs n >= 2")
     p = as_lambda_point(lam)
-    return bool((np.abs(p) ** (n / (n - 1))).sum() <= 1.0)
+    l1, l2, l3 = p.tolist()
+    # A term with |l_i| > 1 alone exceeds 1: deciding that first, no power can overflow.
+    # numpy's powers are then summed left to right, as numpy sums three floats.
+    in_cube = -1.0 <= l1 <= 1.0 and -1.0 <= l2 <= 1.0 and -1.0 <= l3 <= 1.0
+    return in_cube and sum((np.abs(p) ** (n / (n - 1))).tolist()) <= 1.0
 
 
 def lift_x_max(lam: LambdaPoint, n: int) -> float:
@@ -232,21 +238,17 @@ def lift_x_max(lam: LambdaPoint, n: int) -> float:
     return 0.5 * (1.0 - top / total) * (2.0 / top) ** (1.0 / (n + 1))
 
 
-def lift_ntsp(lam: LambdaPoint, n: int, x: float | None = None) -> np.ndarray:
+def lift_ntsp(lam: LambdaPoint, n: int) -> np.ndarray:
     """Shrink an ``n``-tensor-stable point into an ``(n+1)``-stable one.
 
-    Returns ``l~_i = ((|l1|+|l2|+|l3|)^-1 + x) / (1 + x) * l_i``; by the
-    recurrence with an entanglement-breaking admixture, the output is
-    ``(n+1)``-tensor-stable whenever the input is ``n``-tensor-stable.
-    ``x`` defaults to the largest admissible value.  Raises ``ValueError``
-    outside the Bloch cube and when ``|l1|+|l2|+|l3| < 1``.
+    Returns ``l~_i = ((|l1|+|l2|+|l3|)^-1 + x) / (1 + x) * l_i`` at ``x =
+    lift_x_max(lam, n)``; by the recurrence with an entanglement-breaking admixture,
+    the output is ``(n+1)``-tensor-stable whenever the input is ``n``-tensor-stable.
+    The factor grows with ``x``, so a smaller ``x`` only adds a CP depolarization.
+    Raises ``ValueError`` outside the Bloch cube and when ``|l1|+|l2|+|l3| < 1``.
     """
     p = as_lambda_point(lam)
-    xm = lift_x_max(p, n)
-    if x is None:
-        x = xm
-    if not 0.0 <= x <= xm:
-        raise ValueError(f"x must lie in [0, {xm}], got {x}")
+    x = lift_x_max(p, n)
     return (1.0 / float(np.abs(p).sum()) + x) / (1.0 + x) * p
 
 
@@ -258,8 +260,8 @@ def mu_bound(min_eig_phi: float, min_eig_eb: float, n: int) -> float:
     already positive (``min_eig_phi >= 0``) or the ratio overflows.
     """
     n = integer_at_least(n, 1, "n must be a positive integer")
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (min_eig_phi, min_eig_eb)):
-        raise ValueError(f"eigenvalues must be finite real numbers, got {min_eig_phi!r} and {min_eig_eb!r}")
+    for v in (min_eig_phi, min_eig_eb):
+        _finite_real(v, "eigenvalues must be finite real numbers")
     if min_eig_eb < 0:
         raise ValueError("the entanglement-breaking eigenvalue floor must be >= 0")
     if min_eig_phi >= 0:
@@ -270,7 +272,9 @@ def mu_bound(min_eig_phi: float, min_eig_eb: float, n: int) -> float:
 
 
 def depolarizing_pair_positive(q1: float, q2: float) -> bool:
-    """Positivity of the two-sided depolarizing map: ``q1 q2 >= -1/3``."""
+    """Positivity of the two-sided depolarizing map, for finite real ``q1``, ``q2``: ``q1 q2 >= -1/3``."""
+    _finite_real(q1, "q1 must be a finite real number")
+    _finite_real(q2, "q2 must be a finite real number")
     return bool(abs(q1) <= 1.0 and abs(q2) <= 1.0 and q1 * q2 >= -1.0 / 3.0)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -221,6 +222,13 @@ def integer_at_least(value, floor: int, rule: str) -> int:
     return n
 
 
+def _finite_real(value, rule: str) -> float:
+    """``value`` as a ``float`` if a finite real number but no ``bool``, else ``ValueError(f"{rule}, got {value!r}")``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{rule}, got {value!r}")
+    return float(value)
+
+
 def symmetric_linspace(lo: float, hi: float, steps: int) -> np.ndarray:
     """Evenly spaced grid whose floats are exactly symmetric about the center.
 
@@ -230,6 +238,9 @@ def symmetric_linspace(lo: float, hi: float, steps: int) -> np.ndarray:
     bitwise negatives of each other.
     """
     steps = integer_at_least(steps, 2, "a grid needs an integer of at least 2 steps")
+    lo, hi = (_finite_real(b, "grid bounds must be finite real numbers") for b in (lo, hi))
+    # The larger of the width |hi - lo| and the doubled midpoint |lo + hi|.
+    _finite_real(abs(lo) + abs(hi), "grid bounds must have a finite width and midpoint, |lo| + |hi|")
     mid = (lo + hi) / 2.0
     offsets = np.arange(steps) - (steps - 1) / 2.0
     return offsets * ((hi - lo) / (steps - 1)) + mid

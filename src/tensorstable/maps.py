@@ -7,7 +7,9 @@ A qubit map is represented by its real 4x4 matrix ``E`` in the Pauli basis,
 
 :class:`PauliMap` is the diagonal special case ``E = diag(lambda)``, which
 also admits the conjugation form ``Phi[X] = sum_j q_j sigma_j X sigma_j``
-with ``q = H4 @ lambda / 4`` (``H4`` the +-1 Hadamard pattern).
+with ``q = H4 @ lambda / 4`` (``H4`` the +-1 Hadamard pattern).  ``choi``,
+``tensor_apply``, ``classify`` and ``lambda_to_q`` raise ``FloatingPointError``
+when their arithmetic overflows.
 """
 
 from __future__ import annotations
@@ -75,12 +77,16 @@ def _pauli_weights(l0: float, l1: float, l2: float, l3: float) -> tuple[float, f
     return ((a + b + 0.0) / 4.0, (c + d + 0.0) / 4.0, (a - b + 0.0) / 4.0, (c - d + 0.0) / 4.0)
 
 
+# What lambda_to_q (the first four) and the closed-form branch of classify check for overflow, in order.
+_PAULI_LABELS = (*(f"weight q{j}" for j in range(4)), *(f"CcP weight q{j}" for j in range(4)), "positivity margin")
+
+
 def lambda_to_q(lam: Sequence[float]) -> np.ndarray:
-    """Conjugation weights ``q = H4 @ lambda / 4``; involutive up to the 1/4."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (4,):
-        raise ValueError("lambda must have four components")
-    return np.array(_pauli_weights(*lam.tolist()))
+    """Conjugation weights ``q = H4 @ lambda / 4``; involutive up to the 1/4.
+    ``lam`` must pass :class:`PauliMap`'s checks."""
+    q = _pauli_weights(*PauliMap(lam).lam)
+    _require_finite("Pauli-map", _PAULI_LABELS, q)
+    return np.array(q)
 
 
 def _check_2x2(x) -> np.ndarray:
@@ -97,7 +103,10 @@ class PauliMap:
     lam: tuple[float, float, float, float]
 
     def __post_init__(self):
-        lam = tuple(float(v) for v in self.lam)
+        try:
+            lam = tuple(float(v) for v in self.lam)
+        except (TypeError, ValueError):
+            raise ValueError(f"PauliMap lambda values must be numbers, got {self.lam!r}") from None
         if len(lam) != 4:
             raise ValueError("PauliMap takes four lambda values")
         if not all(map(math.isfinite, lam)):
@@ -214,11 +223,12 @@ def choi(maps) -> HermitianOperator:
         maps = [maps]
     if not maps:
         raise ValueError("choi requires at least one map")
-    # (Phi x Id)[psi+ proj] = (1/2) sum_ab Phi[E_ab] (x) E_ab
-    singles = [HermitianOperator(0.5 * _realign(_FROM_PAULI @ m.matrix @ _TO_PAULI)) for m in maps]
-    out = singles[0]
-    for s in singles[1:]:
-        out = kron(out, s)
+    with np.errstate(over="raise", invalid="raise"):
+        # (Phi x Id)[psi+ proj] = (1/2) sum_ab Phi[E_ab] (x) E_ab
+        singles = [HermitianOperator(0.5 * _realign(_FROM_PAULI @ m.matrix @ _TO_PAULI)) for m in maps]
+        out = singles[0]
+        for s in singles[1:]:
+            out = kron(out, s)
     return out
 
 
@@ -297,7 +307,8 @@ def tensor_apply(maps, x: HermitianOperator) -> HermitianOperator:
         raise ValueError("tensor_apply expects a HermitianOperator input")
     if len(maps) != x.nfactors:
         raise ValueError(f"need one qubit factor per map: {len(maps)} maps, {x.nfactors} qubits")
-    return HermitianOperator(_pauli_product(np.stack([m.matrix for m in maps]), x.matrix))
+    with np.errstate(over="raise", invalid="raise"):
+        return HermitianOperator(_pauli_product(np.stack([m.matrix for m in maps]), x.matrix))
 
 
 class PauliDiagonalMap:
@@ -364,10 +375,6 @@ def _is_e0(v: list[float]) -> bool:
     Absolute only: a relative tolerance would swamp MATRIX_ATOL at the 1.
     """
     return max(abs(v[0] - 1.0), abs(v[1]), abs(v[2]), abs(v[3])) <= MATRIX_ATOL
-
-
-# What the closed-form branch of classify checks for overflow, in order.
-_PAULI_LABELS = (*(f"weight q{j}" for j in range(4)), *(f"CcP weight q{j}" for j in range(4)), "positivity margin")
 
 
 def classify(m) -> ClassificationReport:

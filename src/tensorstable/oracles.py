@@ -19,7 +19,7 @@ import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .linalg import (
     ANALYTIC_BAND,
     HermitianOperator,
     OracleConfig,
+    _finite_real,
     block_positivity_min,
     integer_at_least,
     psd_verdict,
@@ -261,16 +262,16 @@ class RegionScanReport:
 
 def region_scan(
     criterion: str,
-    steps: int | Sequence[int] | None = None,
+    steps: int | None = None,
     params: dict | None = None,
     seed: int = 0,
 ) -> RegionScanReport:
     """Sweep a parameter grid, comparing an analytic criterion to its oracle.
 
-    Points are evaluated in row-major grid order with the oracle budget
-    :data:`REGION_SCAN_CONFIG`.  Each point's oracle seed derives from
-    ``(seed, point index)``, so a report depends only on the criterion,
-    grid, parameters and ``seed``.
+    ``steps`` points per axis, finite real parameters.  Points are evaluated
+    in row-major grid order with the oracle budget :data:`REGION_SCAN_CONFIG`.
+    Each point's oracle seed derives from ``(seed, point index)``, so a report
+    depends only on the criterion, grid, parameters and ``seed``.
     """
     if criterion not in _REGION_CRITERIA:
         raise ValueError(
@@ -283,14 +284,12 @@ def region_scan(
     if unread:
         raise ValueError(f"{criterion} takes no parameter {', '.join(unread)}")
     merged.update(params or {})
+    for key, value in merged.items():
+        _finite_real(value, f"{criterion} parameter {key} must be a finite real number")
     if steps is None:
         steps = crit.default_steps
-    if np.isscalar(steps):
-        steps = (steps,) * len(crit.axes)
-    if len(steps) != len(crit.axes):
-        raise ValueError(f"{criterion} needs {len(crit.axes)} step counts")
     bounds = crit.bounds(**merged) if callable(crit.bounds) else crit.bounds
-    grids = tuple(symmetric_linspace(lo, hi, k) for (lo, hi), k in zip(bounds, steps))
+    grids = tuple(symmetric_linspace(lo, hi, steps) for lo, hi in bounds)
     mesh = np.meshgrid(*grids, indexing="ij")
     points = np.stack([m.reshape(-1) for m in mesh], axis=1)
     npts = len(points)
@@ -353,15 +352,17 @@ _EX2_COEFFS = np.array(
 
 EX2_MAP_A = PauliMap((1.0, 2 / 3, 2 / 3, 2 / 3))
 EX2_MAP_B = PauliMap((1.0, 0.05, -0.05, 1.0))
+_EX2_MU = 0.1  # in the window 0 < mu < 3/13 where the mixture is 2-stable, neither CP nor CcP
 
 
 def ex2_family(mu: float) -> PauliMap:
-    """Convex mixture ``mu A + (1 - mu) B`` of the second example's maps."""
+    """Convex mixture ``mu A + (1 - mu) B`` of the second example's maps, ``mu`` finite real."""
+    mu = _finite_real(mu, "mu must be a finite real number")
     lam = mu * np.asarray(EX2_MAP_A.lam) + (1.0 - mu) * np.asarray(EX2_MAP_B.lam)
     return PauliMap(tuple(lam))
 
 
-def decomposability_fixtures(mu: float = 0.1) -> DecomposabilityReport:
+def decomposability_fixtures() -> DecomposabilityReport:
     """Build and check the two decomposability examples.
 
     Example 1: the two-qubit map F from the coefficient table above is
@@ -371,7 +372,7 @@ def decomposability_fixtures(mu: float = 0.1) -> DecomposabilityReport:
     compose by multiplying their tables.
 
     Example 2: the second table's F is completely positive, and the convex
-    family is 2-tensor-stable but neither CP nor CcP at the given ``mu``.
+    family is 2-tensor-stable but neither CP nor CcP at ``mu = 0.1``.
     """
     f1 = PauliDiagonalMap(_EX1_COEFFS)
     ex1_min = f1.choi().min_eig()
@@ -383,13 +384,13 @@ def decomposability_fixtures(mu: float = 0.1) -> DecomposabilityReport:
     f2 = PauliDiagonalMap(_EX2_COEFFS)
     ex2_min = f2.choi().min_eig()
 
-    m = ex2_family(mu)
+    m = ex2_family(_EX2_MU)
     rep = classify(m)
     return DecomposabilityReport(
         ex1_choi_min_eig=float(ex1_min),
         ex1_identity_residual=residual,
         ex2_choi_min_eig=float(ex2_min),
-        ex2_mu=float(mu),
+        ex2_mu=_EX2_MU,
         ex2_is_2tsp=bool(is_2tsp(m.lam3).satisfied),
         ex2_cp=rep.cp,
         ex2_ccp=rep.ccp,

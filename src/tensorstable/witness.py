@@ -9,7 +9,6 @@ canonical state is still detected.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .criteria import as_lambda_point, hyperboloid_point, hyperboloid_slacks, is_3tsp
 from .linalg import (
     BLOCH_ROTATIONS, NEGATIVITY_TOL, REFINE_TOL, SHRINK, SIGMA, STATE_PSD_TOL, STATE_TRACE_TOL,
-    HermitianOperator, integer_at_least, rotated_ghz3,
+    HermitianOperator, _finite_real, integer_at_least, rotated_ghz3,
 )
 from .maps import _power_min_eigs
 
@@ -83,26 +82,22 @@ class ThresholdResult:
 def build_state(kind: str, q: float, n: int = 3) -> MultiQubitState:
     """Canonical pure state mixed with white noise at weight ``1 - q``.
 
-    ``kind`` is one of ``"ghz"`` (``n`` qubits), ``"w3"``, ``"psi_plus"``.
+    ``kind`` is ``"ghz"`` (``n`` qubits; at ``n = 2`` the Bell state
+    ``(|00> + |11>)/sqrt 2``) or ``"w3"`` (three qubits).
     """
-    if not (isinstance(q, numbers.Real) and 0.0 <= q <= 1.0):
+    if not 0.0 <= _finite_real(q, "q must be a real number in [0, 1]") <= 1.0:
         raise ValueError(f"q must be a real number in [0, 1], got {q!r}")
     if kind == "ghz":
         if integer_at_least(n, 2, f"ghz needs 2..{MAX_QUBITS} qubits") > MAX_QUBITS:
             raise ValueError(f"ghz needs 2..{MAX_QUBITS} qubits, got {n}")
-        psi, nq = np.zeros(2**n, dtype=np.complex128), n
+        psi = np.zeros(2**n, dtype=np.complex128)
         psi[0] = psi[-1] = 2**-0.5
     elif kind == "w3":
         psi = np.zeros(8, dtype=np.complex128)
         psi[1] = psi[2] = psi[4] = 3**-0.5
-        nq = 3
-    elif kind == "psi_plus":
-        psi = np.zeros(4, dtype=np.complex128)
-        psi[0] = psi[3] = 2**-0.5
-        nq = 2
     else:
         raise ValueError(f"unknown state kind {kind!r}")
-    d = 2**nq
+    d = len(psi)
     rho = q * np.outer(psi, psi.conj()) + (1.0 - q) * np.eye(d) / d
     return MultiQubitState(HermitianOperator(rho))
 

@@ -213,7 +213,7 @@ def test_6_nonunital_reduction():
 
 
 def test_7_decomposability_fixtures():
-    rep = decomposability_fixtures(mu=0.1)
+    rep = decomposability_fixtures()
     assert rep.ex1_choi_min_eig >= -1e-10
     assert rep.ex1_identity_residual <= 1e-12
     assert rep.ex2_choi_min_eig >= -1e-10

@@ -3,7 +3,9 @@
 Whatever the arguments, ``main`` returns an exit code in {0, 1, 2, 3},
 raises nothing, records no warning, and on success writes strict JSON.
 A library entry point given a malformed value raises a ``ValueError`` that
-names the input, or returns a finite result, and records no warning.
+names the input, or returns a finite result, and records no warning; one
+whose documented overflow rule applies may raise ``FloatingPointError`` on
+a huge finite value instead.
 """
 
 import contextlib
@@ -18,10 +20,16 @@ import numpy as np
 import pytest
 
 from tensorstable.cli import main
-from tensorstable.criteria import mu_bound
-from tensorstable.linalg import HermitianOperator
-from tensorstable.maps import max_entangled_projector
-from tensorstable.oracles import region_criteria
+from tensorstable.criteria import (
+    depolarizing_pair_positive,
+    mu_bound,
+    ntsp_sufficient_ball,
+    squared_map_choi,
+    squared_map_choi_eigs,
+)
+from tensorstable.linalg import HermitianOperator, symmetric_linspace
+from tensorstable.maps import PauliMap, lambda_to_q, max_entangled_projector, tensor_apply
+from tensorstable.oracles import REGION_SCAN_CONFIG, ex2_family, min_output_eig, region_criteria, region_scan
 from tensorstable.witness import build_state, depth_witness, threshold_search
 
 # Ordinary values and the edges of the float range, subnormals among them.
@@ -79,8 +87,7 @@ def _argv(rng: random.Random, tmp_path, index: int) -> list[str]:
         path.write_text(_map_text(rng))
         return ["classify", "--map", str(path)]
     if kind == "lift":
-        argv = ["lift", _lambda(rng), "--n", rng.choice(["1", "2", "3", "0", "-1", "1.5", "x", "40"])]
-        return argv + (["--x=" + _value(rng)] if rng.random() < 0.4 else [])
+        return ["lift", _lambda(rng), "--n", rng.choice(["1", "2", "3", "0", "-1", "1.5", "x", "40"])]
     if kind == "reduce":
         return ["reduce", _lambda(rng), "--t=" + _value(rng)]
     if kind == "witness":
@@ -156,6 +163,30 @@ LIBRARY_INPUTS = {
     "max_entangled_projector-d": (max_entangled_projector, r"\bd\b"),
     "HermitianOperator-matrix": (HermitianOperator, "matrix"),
     "HermitianOperator-entry": (lambda v: HermitianOperator([[v, 0], [0, 1]]), "matrix|operator entries"),
+    "region_scan-param": (lambda v: region_scan("nonunital-2tsp", steps=2, params={"t": v}), r"\bt\b"),
+    "symmetric_linspace-lo": (_at(symmetric_linspace, (-1.0, 1.0, 3), 0), "grid bounds"),
+    "symmetric_linspace-hi": (_at(symmetric_linspace, (-1.0, 1.0, 3), 1), "grid bounds"),
+    "depolarizing_pair_positive-q1": (_at(depolarizing_pair_positive, (0.5, 0.5), 0), r"\bq1\b"),
+    "depolarizing_pair_positive-q2": (_at(depolarizing_pair_positive, (0.5, 0.5), 1), r"\bq2\b"),
+    "ex2_family-mu": (ex2_family, r"\bmu\b"),
+    "lambda_to_q-entry": (lambda v: lambda_to_q((1.0, v, 0.0, 0.0)), "lambda"),
+    "ntsp_sufficient_ball-entry": (lambda v: ntsp_sufficient_ball((v, 0.1, 0.1), 3), "lambda"),
+    "squared_map_choi-entry": (lambda v: squared_map_choi((v, 0.1, 0.1)), "lambda|operator entries"),
+    "squared_map_choi_eigs-entry": (lambda v: squared_map_choi_eigs((v, 0.1, 0.1)), "lambda"),
+    "tensor_apply-map-entry": (
+        lambda v: tensor_apply([PauliMap((1.0, v, 0.1, 0.1))] * 2, max_entangled_projector(2)),
+        "lambda",
+    ),
+    "min_output_eig-map-entry": (
+        lambda v: min_output_eig([PauliMap((1.0, v, 0.1, 0.1))] * 2, REGION_SCAN_CONFIG),
+        "lambda",
+    ),
+}
+# The entries whose documented overflow rule raises FloatingPointError on 1e308, as is_2tsp does.
+OVERFLOW_RAISES = {
+    "squared_map_choi_eigs-entry",
+    "tensor_apply-map-entry",
+    "min_output_eig-map-entry",
 }
 
 
@@ -180,6 +211,8 @@ def test_library_entry_points_name_malformed_inputs(entry):
                 result = call(value)
             except ValueError as exc:
                 assert re.search(name, str(exc)), (value, str(exc))
+            except FloatingPointError:
+                assert entry in OVERFLOW_RAISES and value == 1e308, value
             else:
                 assert np.isfinite(_numbers(result)).all(), (value, result)
         assert not caught, (value, [str(w.message) for w in caught])

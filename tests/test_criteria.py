@@ -306,14 +306,18 @@ class TestLift:
         with pytest.raises(ValueError, match="positive map"):
             lift_ntsp(lam, 2)
 
-    def test_rejects_bad_x(self):
-        xm = lift_x_max((1.0, 0.0, 1.0), 1)
-        with pytest.raises(ValueError, match=str(round(xm, 3))[:4]):
-            lift_ntsp((1.0, 0.0, 1.0), 1, x=xm * 1.5)
-
-    def test_x_defaults_to_max(self):
-        lam = (0.9, 0.4, 0.3)
-        assert_allclose(lift_ntsp(lam, 2), lift_ntsp(lam, 2, x=lift_x_max(lam, 2)))
+    def test_lift_is_the_x_max_closed_form_bytewise(self):
+        # x_max dominates every smaller x, so the lift takes no x.
+        rng = np.random.default_rng(2404)
+        for p in rng.uniform(-1.0, 1.0, (300, 3)):
+            if np.abs(p).sum() < 1.0:
+                continue
+            for n in (1, 2, 3):
+                xm = lift_x_max(p, n)
+                expected = (1.0 / float(np.abs(p).sum()) + xm) / (1.0 + xm) * p
+                assert lift_ntsp(p, n).tobytes() == expected.tobytes(), (p, n)
+        with pytest.raises(TypeError):
+            lift_ntsp((1.0, 0.0, 1.0), 1, x=0.1)
 
     def test_lift_from_positive_lands_in_2tsp(self):
         count = 0
@@ -414,7 +418,7 @@ class TestHyperboloidPoint:
         (lambda: mu_bound(-0.5, 0.1, -1), "n must be a positive integer, got -1"),
         (lambda: mu_bound(np.nan, 0.1, 2), "eigenvalues must be finite"),
         (lambda: mu_bound(-0.5, np.inf, 2), "eigenvalues must be finite"),
-        (lambda: mu_bound("x", 0.1, 2), "eigenvalues must be finite real numbers, got 'x' and 0.1"),
+        (lambda: mu_bound("x", 0.1, 2), "eigenvalues must be finite real numbers, got 'x'"),
         (lambda: ntsp_necessary((0.5, 0.5, 0.5), 2.5), "n must be a positive integer, got 2.5"),
         (lambda: ntsp_sufficient_ball((0.2, 0.2, 0.2), 2.5), "the power-sum ball needs n >= 2, got 2.5"),
         (lambda: lift_x_max((1, 0, 1), 1.5), "n must be a positive integer, got 1.5"),
@@ -423,10 +427,12 @@ class TestHyperboloidPoint:
         (lambda: as_lambda_point((0.5, np.nan, 0.5)), r"lambda values must be finite, got \[0.5 nan 0.5\]"),
         (lambda: as_lambda_point("x"), "lambda values must be numbers, got 'x'"),
         (lambda: lift_x_max((1, 0, 1), 0), "n must be a positive integer, got 0"),
+        (lambda: depolarizing_pair_positive(np.nan, 0.5), "q1 must be a finite real number, got nan"),
+        (lambda: depolarizing_pair_positive(0.5, True), "q2 must be a finite real number, got True"),
     ],
     ids=[
         "mu_bound-n", "mu_bound-nan", "mu_bound-inf", "mu_bound-str", "necessary-n", "ball-n", "lift_x_max-n", "lift_ntsp-n",
-        "lambda-shape", "lambda-nan", "lambda-str", "lift_x_max-n-below-1",
+        "lambda-shape", "lambda-nan", "lambda-str", "lift_x_max-n-below-1", "depolarizing-nan", "depolarizing-bool",
     ],
 )
 def test_input_checks(call, match):

@@ -73,6 +73,11 @@ class TestLambdaQ:
         with pytest.raises(ValueError):
             lambda_to_q((1, 2, 3))
 
+    def test_overflowing_weight_raises(self):
+        # classify's overflow rule: the weights are Python floats, which overflow silently.
+        with pytest.raises(FloatingPointError, match="weight q0 overflows to inf"):
+            lambda_to_q((1.0, 1e308, 0.0, 1e308))
+
 
 class TestApply:
     def test_identity_action(self):
@@ -721,6 +726,7 @@ class TestJson:
         lambda v: NonUnitalFamilyMap(0.2, (0.5, v, 0.0)),
         lambda v: HermitianOperator(np.diag([v, 0.5, 0.5, 0.0])),
         lambda v: PauliDiagonalMap([1.0, 0.5, 0.5, v]),
+        lambda v: lambda_to_q((1.0, v, 0.0, 0.0)),
     ],
     ids=[
         "as_lambda_point",
@@ -730,6 +736,7 @@ class TestJson:
         "NonUnitalFamilyMap.lam3",
         "HermitianOperator",
         "PauliDiagonalMap",
+        "lambda_to_q",
     ],
 )
 def test_non_finite_input_is_rejected_where_it_enters(build, bad):
@@ -758,11 +765,13 @@ def test_zero_qubit_coefficients_are_rejected():
         (lambda: max_entangled_projector(2.0), "d must be a power of two, got 2.0"),
         (lambda: max_entangled_projector(3), "d must be a power of two, got 3"),
         (lambda: max_entangled_projector("2"), "d must be a power of two, got '2'"),
+        (lambda: PauliMap((1.0, "x", 0.0, 0.0)), "PauliMap lambda values must be numbers"),
+        (lambda: lambda_to_q((1.0, "x", 0.0, 0.0)), "lambda values must be numbers"),
     ],
     ids=[
         "pauli-map-length", "general-map-shape", "translation-lengths", "choi-empty", "map-from-choi-shape",
         "tensor-apply-input", "diagonal-apply-shape", "json-lambda-length", "json-t-length", "json-l0-with-t",
-        "projector-float-d", "projector-d-not-power-of-two", "projector-str-d",
+        "projector-float-d", "projector-d-not-power-of-two", "projector-str-d", "pauli-map-str", "lambda-to-q-str",
     ],
 )
 def test_input_checks(call, match):

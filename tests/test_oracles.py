@@ -209,14 +209,15 @@ class TestRegionScan:
             region_scan(criterion, steps=3, params={"t": 0.5})
 
     def test_wrong_number_of_step_counts(self):
-        with pytest.raises(ValueError, match="needs 3 step counts"):
-            region_scan("2tsp", steps=(3, 3))
+        # steps is one count for every axis; a sequence of counts is rejected.
+        with pytest.raises(ValueError, match=r"integer of at least 2 steps, got \(3, 3, 3\)"):
+            region_scan("2tsp", steps=(3, 3, 3))
 
-    @pytest.mark.parametrize("steps", [(3, 3, 2.5), 2.5])
+    @pytest.mark.parametrize("steps", [2.5])
     def test_non_integer_step_counts_are_rejected(self, steps):
-        # (3, 3, 2.5) would scan l3 = 1.667 outside the cube; 2.5 would truncate to 2.
+        # 2.5 would truncate to 2.
         with pytest.raises(ValueError, match="integer of at least 2"):
-            region_scan("2tsp" if isinstance(steps, tuple) else "3tsp", steps=steps)
+            region_scan("3tsp", steps=steps)
 
     def test_numpy_integer_step_counts(self):
         assert region_scan("depolarizing", steps=np.int64(5)).to_csv() == region_scan("depolarizing", steps=5).to_csv()
@@ -249,9 +250,9 @@ class TestRegionScan:
             assert a == (pt[0] * pt[1] >= -1 / 3)
 
     def test_point_count_matches_grid(self):
-        rep = region_scan("2tsp", steps=(3, 4, 5))
-        assert len(rep.points) == 3 * 4 * 5
-        assert len(rep.analytic) == len(rep.oracle) == len(rep.flags) == 60
+        rep = region_scan("2tsp", steps=4)
+        assert len(rep.points) == 4**3
+        assert len(rep.analytic) == len(rep.oracle) == len(rep.flags) == 64
 
     def test_csv_shape(self):
         rep = region_scan("depolarizing", steps=5)
@@ -339,10 +340,15 @@ class TestDecomposabilityFixtures:
         assert rep.ex1_identity_residual <= 1e-12
 
     def test_second_example(self):
-        rep = decomposability_fixtures(mu=0.1)
+        rep = decomposability_fixtures()
         assert rep.ex2_choi_min_eig >= -1e-10
         assert rep.ex2_is_2tsp and not rep.ex2_cp and not rep.ex2_ccp
         assert type(rep.ex2_is_2tsp) is bool
+
+    @pytest.mark.parametrize("mu", [True, float("nan"), "0.1"])
+    def test_mixing_weight_must_be_a_finite_real(self, mu):
+        with pytest.raises(ValueError, match="mu must be a finite real number"):
+            ex2_family(mu)
 
     def test_mixing_window_boundary(self):
         # the convex family turns completely positive at mu = 3/13
@@ -358,8 +364,16 @@ class TestDecomposabilityFixtures:
         ({"criterion": "nope"}, "unknown criterion 'nope'"),
         ({"criterion": "3tsp", "steps": 2, "seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
         ({"criterion": "3tsp", "steps": 2, "seed": -1}, "seed must be a non-negative integer, got -1"),
+        (
+            {"criterion": "nonunital-positive", "steps": 2, "params": {"t": True}},
+            "nonunital-positive parameter t must be a finite real number, got True",
+        ),
+        (
+            {"criterion": "nonunital-ghz", "steps": 2, "params": {"t": float("nan")}},
+            "nonunital-ghz parameter t must be a finite real number, got nan",
+        ),
     ],
-    ids=["unknown-criterion", "seed-float", "seed-negative"],
+    ids=["unknown-criterion", "seed-float", "seed-negative", "param-bool", "param-nan"],
 )
 def test_region_scan_input_checks(kwargs, match):
     with pytest.raises(ValueError, match=match):

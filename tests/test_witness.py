@@ -48,9 +48,14 @@ class TestBuildState:
         assert_allclose(red, np.diag([2 / 3, 1 / 3]), atol=1e-12)
 
     def test_psi_plus(self):
-        s = build_state("psi_plus", q=0.5)
+        s = build_state("ghz", q=0.5, n=2)
         assert s.n == 2
         assert abs(s.rho.trace() - 1) < 1e-12
+
+    def test_psi_plus_is_no_kind(self):
+        # The two-qubit GHZ state is the same state.
+        with pytest.raises(ValueError, match="kind 'psi_plus'"):
+            build_state("psi_plus", 0.5)
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError, match="q"):
@@ -104,7 +109,7 @@ class TestGhzVariants:
 
 class TestDepthWitness:
     def test_two_qubit_detection(self):
-        v = depth_witness(build_state("psi_plus", 1.0), (1.0, 1.0, 0.5), n=1)
+        v = depth_witness(build_state("ghz", 1.0, 2), (1.0, 1.0, 0.5), n=1)
         assert v.lower_bound == 2
         assert v.neg_eig == pytest.approx(-0.1875, abs=1e-12)
 
